@@ -39,11 +39,11 @@ from .fitting import (
     refind_points,
 )
 from .metrics import (
-    ChurnReport,
     IntervalSpec,
     RateKind,
     avg_interval_rate,
-    compute_report,
+    compute_rates,
+    compute_refind,
     overlap,
     recall,
     report_to_csv,
@@ -61,7 +61,7 @@ from .render import (
     render_page_rate_bars,
     render_temporal_grid,
 )
-from .serp_io import DEFAULT_DELAY, FetchMode, FetchPlan, build_snapshot
+from .serp_io import DEFAULT_DELAY, FetchPlan, build_snapshot
 from .store import (
     CollectionStore,
     dump_snapshot_stream,
@@ -105,28 +105,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rates_only(report: ChurnReport) -> ChurnReport:
-    return ChurnReport(
-        topic=report.topic,
-        vertical=report.vertical,
-        replacement=report.replacement,
-        new_story=report.new_story,
-        prob_seen={},
-        prob_seen_page={},
-    )
-
-
-def _probs_only(report: ChurnReport) -> ChurnReport:
-    return ChurnReport(
-        topic=report.topic,
-        vertical=report.vertical,
-        replacement={},
-        new_story={},
-        prob_seen=report.prob_seen,
-        prob_seen_page=report.prob_seen_page,
-    )
-
-
 # -- subcommand bodies --------------------------------------------------
 
 
@@ -142,7 +120,6 @@ def _cmd_scrape(args) -> int:
         pages=args.pages,
         date_range=date_range,
         politeness_delay=args.delay,
-        mode=FetchMode.FIXTURE if args.fixture else FetchMode.LIVE,
         fixture_dir=Path(args.fixture) if args.fixture else None,
     )
     day = date.fromisoformat(args.date) if args.date else date.today()
@@ -225,9 +202,9 @@ def _parse_intervals(text: str) -> list[int]:
 
 def _cmd_metrics(args) -> int:
     store = _load_store(_store_arg(args.store))
-    report = compute_report(store, intervals=_parse_intervals(args.intervals))
+    report = compute_rates(store, intervals=_parse_intervals(args.intervals))
     if args.format == "csv":
-        _emit(report_to_csv(_rates_only(report)), args.output)
+        _emit(report_to_csv(report), args.output)
     else:
         _emit(format_rate_table(report), args.output)
     return 0
@@ -235,9 +212,9 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_prob(args) -> int:
     store = _load_store(_store_arg(args.store))
-    report = compute_report(store)
+    report = compute_refind(store)
     if args.format == "csv":
-        _emit(report_to_csv(_probs_only(report)), args.output)
+        _emit(report_to_csv(report), args.output)
     else:
         _emit(format_prob_table(report), args.output)
     return 0
@@ -320,19 +297,11 @@ def _cmd_report(args) -> int:
         )
     store = _load_store(_store_arg(args.store))
     if args.kind == "rates-table":
-        report = compute_report(store)
-        text = (
-            report_to_csv(_rates_only(report))
-            if args.format == "csv"
-            else format_rate_table(report)
-        )
+        report = compute_rates(store)
+        text = report_to_csv(report) if args.format == "csv" else format_rate_table(report)
     elif args.kind == "prob-table":
-        report = compute_report(store)
-        text = (
-            report_to_csv(_probs_only(report))
-            if args.format == "csv"
-            else format_prob_table(report)
-        )
+        report = compute_refind(store)
+        text = report_to_csv(report) if args.format == "csv" else format_prob_table(report)
     elif args.kind == "page-chart":
         spec = IntervalSpec.from_name(args.interval)
         rates = []

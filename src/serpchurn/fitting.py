@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import (
     FitConvergenceError,
-    InsufficientDataError,
     UnderdeterminedFitError,
     ValidationError,
 )
 from .model import RefindabilityModel, StoryTimeline, Vertical
-from .metrics import prob_seen
+from .metrics import refind_cells
 
 MIN_POINTS = 4  # three parameters need at least one spare observation
 
@@ -137,13 +136,8 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
 def refind_points(timelines: Sequence[StoryTimeline], max_k: int) -> list[tuple[int, float]]:
     """(k, observed probability) pairs for k = 0..max_k, skipping days
     where no timeline was eligible."""
-    pts = []
-    for k in range(max_k + 1):
-        try:
-            pts.append((k, float(prob_seen(timelines, k))))
-        except InsufficientDataError:
-            continue
-    return pts
+    prob, _ = refind_cells(timelines, ())
+    return [(k, cell.value) for k, cell in prob.items() if k <= max_k]
 
 
 def fit_from_timelines(
@@ -199,5 +193,5 @@ def model_from_doc(text: str) -> tuple[RefindabilityModel, Vertical]:
             clamped=doc.get("clamped", False),
         )
         return model, Vertical.from_wire(doc["vertical"])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"model document is malformed: {e}") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 from fractions import Fraction
@@ -151,25 +151,54 @@ def avg_interval_rate(
 
 # -- refind probabilities ----------------------------------------------
 
+N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
+
+
+def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
+    """Row k counts the timelines in each state 0-5 exactly k days after
+    first seen.
+
+    Unscraped days count nowhere, so a row's sum is the number of stories
+    eligible at k. Every refind probability is a ratio of one row's cells.
+    """
+    rows: list[list[int]] = []
+    for t in timelines:
+        obs = t.observations
+        while len(rows) < len(obs):
+            rows.append([0] * N_STATES)
+        for row, state in zip(rows, obs):
+            if state is not None:
+                row[state] += 1
+    return rows
+
+
+def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
+    if k < 0:
+        raise ValueError(f"day offset must be >= 0, got {k}")
+    rows = refind_counts(timelines)
+    if k >= len(rows) or sum(rows[k]) == 0:
+        raise InsufficientDataError(f"no timeline observed at day {k}")
+    return rows[k]
+
+
+def _seen(row: list[int]) -> Fraction:
+    n = sum(row)
+    return Fraction(n - row[0], n)
+
+
+def _check_page(m: int) -> None:
+    if not 1 <= m <= PAGES_MAX:
+        raise ValueError(f"page must be in [1,{PAGES_MAX}], got {m}")
+
 
 def prob_seen(timelines: Sequence[StoryTimeline], k: int) -> Fraction:
     """P(a story is back in pages 1-5 exactly k days after first seen).
 
     A story counts toward the denominator only if its timeline reaches
-    day k and day k was actually scraped.
+    day k and day k was actually scraped. Each call counts the whole
+    refind_counts table; refind_cells reads every offset from one count.
     """
-    if k < 0:
-        raise ValueError(f"day offset must be >= 0, got {k}")
-    eligible = seen = 0
-    for t in timelines:
-        if k >= len(t.observations) or t.observations[k] is None:
-            continue
-        eligible += 1
-        if t.observations[k] >= 1:
-            seen += 1
-    if eligible == 0:
-        raise InsufficientDataError(f"no timeline observed at day {k}")
-    return Fraction(seen, eligible)
+    return _seen(_row_at(timelines, k))
 
 
 def prob_seen_on_page(timelines: Sequence[StoryTimeline], k: int, m: int) -> Fraction:
@@ -178,25 +207,12 @@ def prob_seen_on_page(timelines: Sequence[StoryTimeline], k: int, m: int) -> Fra
     Shares prob_seen's denominator, so summing over m = 1..5 gives
     exactly prob_seen(timelines, k).
     """
-    if not 1 <= m <= PAGES_MAX:
-        raise ValueError(f"page must be in [1,{PAGES_MAX}], got {m}")
-    if k < 0:
-        raise ValueError(f"day offset must be >= 0, got {k}")
-    eligible = hits = 0
-    for t in timelines:
-        if k >= len(t.observations) or t.observations[k] is None:
-            continue
-        eligible += 1
-        if t.observations[k] == m:
-            hits += 1
-    if eligible == 0:
-        raise InsufficientDataError(f"no timeline observed at day {k}")
-    return Fraction(hits, eligible)
+    _check_page(m)
+    row = _row_at(timelines, k)
+    return Fraction(row[m], sum(row))
 
 
 # -- day-to-day transitions --------------------------------------------
-
-N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 
 
 @dataclass(frozen=True)
@@ -339,16 +355,16 @@ class ChurnReport:
 DEFAULT_INTERVALS = (1, 7, 30)
 
 
-def compute_report(
+def compute_rates(
     store: CollectionStore,
     intervals: Iterable[int] = DEFAULT_INTERVALS,
     pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> ChurnReport:
-    interval_specs = [IntervalSpec.from_days(d) for d in intervals]
-    page_list = list(pages)
+    """The report's rate cells; its probability cells stay empty."""
     replacement: dict[tuple[int, int | None], ReportCell] = {}
     new_story: dict[tuple[int, int | None], ReportCell] = {}
-    for spec in interval_specs:
+    page_list = list(pages)
+    for spec in [IntervalSpec.from_days(d) for d in intervals]:
         for kind, sink in (
             (RateKind.REPLACEMENT, replacement),
             (RateKind.NEW_STORY, new_story),
@@ -359,35 +375,54 @@ def compute_report(
                 except InsufficientDataError:
                     continue
                 sink[(spec.days, page)] = ReportCell(float(mean), n)
-    timelines = store.build_timelines()
-    _, _, span = store.collection_stats()
+    m = store.manifest
+    return ChurnReport(m.topic, m.vertical, replacement, new_story, {}, {})
+
+
+def refind_cells(
+    timelines: Sequence[StoryTimeline],
+    pages: Iterable[int] = range(1, PAGES_MAX + 1),
+) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
+    """P(seen) by offset k and its split over ``pages``, in k order.
+
+    Each cell's n is the number of stories eligible at k; offsets where
+    none is eligible are left out.
+    """
+    page_list = list(pages)
+    for m in page_list:
+        _check_page(m)
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
-    for k in range(span):
-        try:
-            p = prob_seen(timelines, k)
-        except InsufficientDataError:
+    for k, row in enumerate(refind_counts(timelines)):
+        n = sum(row)
+        if n == 0:
             continue
-        n = _eligible_at(timelines, k)
-        prob[k] = ReportCell(float(p), n)
+        prob[k] = ReportCell(float(_seen(row)), n)
         for m in page_list:
-            pm = prob_seen_on_page(timelines, k, m)
-            prob_page[(k, m)] = ReportCell(float(pm), n)
-    return ChurnReport(
-        topic=store.manifest.topic,
-        vertical=store.manifest.vertical,
-        replacement=replacement,
-        new_story=new_story,
-        prob_seen=prob,
-        prob_seen_page=prob_page,
-    )
+            prob_page[(k, m)] = ReportCell(float(Fraction(row[m], n)), n)
+    return prob, prob_page
 
 
-def _eligible_at(timelines: Sequence[StoryTimeline], k: int) -> int:
-    return sum(
-        1
-        for t in timelines
-        if k < len(t.observations) and t.observations[k] is not None
+def compute_refind(
+    store: CollectionStore,
+    pages: Iterable[int] = range(1, PAGES_MAX + 1),
+) -> ChurnReport:
+    """The report's probability cells; its rate cells stay empty."""
+    prob, prob_page = refind_cells(store.build_timelines(), pages)
+    m = store.manifest
+    return ChurnReport(m.topic, m.vertical, {}, {}, prob, prob_page)
+
+
+def compute_report(
+    store: CollectionStore,
+    intervals: Iterable[int] = DEFAULT_INTERVALS,
+    pages: Iterable[int] = range(1, PAGES_MAX + 1),
+) -> ChurnReport:
+    page_list = list(pages)
+    rates = compute_rates(store, intervals, page_list)
+    refind = compute_refind(store, page_list)
+    return replace(
+        rates, prob_seen=refind.prob_seen, prob_seen_page=refind.prob_seen_page
     )
 
 

@@ -1,10 +1,11 @@
 """Fetching and parsing of result pages.
 
-Two fetch modes share one code path: LIVE issues throttled HTTP requests,
-FIXTURE replays previously saved page bytes from a directory tree laid
-out as ``<root>/<query-slug>/<vertical>/<YYYY-MM-DD>/p<N>.html``. Both
-feed the same extractor, which pulls heading-anchored result links out
-of the markup and unwraps redirect-style hrefs.
+Two fetch modes share one code path: live mode issues throttled HTTP
+requests, and a plan with a ``fixture_dir`` replays previously saved page
+bytes from a directory tree laid out as
+``<root>/<query-slug>/<vertical>/<YYYY-MM-DD>/p<N>.html``. Both feed the
+same extractor, which pulls heading-anchored result links out of the
+markup and unwraps redirect-style hrefs.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ _UA = (
 _BLOCK_MARKERS = ("unusual traffic", 'action="/sorry/', "g-recaptcha")
 
 
-class FetchMode:
-    LIVE = "live"
-    FIXTURE = "fixture"
-
-
 @dataclass(frozen=True)
 class FetchPlan:
     """Everything needed to fetch one query's pages for one day."""
@@ -48,8 +44,7 @@ class FetchPlan:
     pages: int = 5
     date_range: tuple[date, date] | None = None
     politeness_delay: float = DEFAULT_DELAY
-    mode: str = FetchMode.LIVE
-    fixture_dir: Path | None = None
+    fixture_dir: Path | None = None  # replay saved pages from here instead of fetching
 
     def __post_init__(self):
         if not self.query.strip():
@@ -60,10 +55,6 @@ class FetchPlan:
             raise ValueError("politeness_delay must be >= 0")
         if self.date_range is not None and self.date_range[0] > self.date_range[1]:
             raise ValueError("date_range start must not exceed its end")
-        if self.mode not in (FetchMode.LIVE, FetchMode.FIXTURE):
-            raise ValueError(f"unknown fetch mode {self.mode!r}")
-        if self.mode == FetchMode.FIXTURE and self.fixture_dir is None:
-            raise ValueError("fixture mode needs fixture_dir")
 
 
 def query_slug(query: str) -> str:
@@ -105,7 +96,7 @@ def fetch_serp_page(
     delay before each request and maps HTTP 429 / block interstitials to
     RateLimited and network failures to TransportError.
     """
-    if plan.mode == FetchMode.FIXTURE:
+    if plan.fixture_dir is not None:
         path = fixture_page_path(plan, day, page_no)
         if not path.is_file():
             raise FixtureNotFound(f"no fixture page at {path}")

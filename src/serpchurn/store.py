@@ -97,22 +97,16 @@ class CollectionStore:
         )
 
     def _refresh_manifest(self) -> None:
+        """Derive the manifest's dates, start and gaps from the snapshots."""
         dates = tuple(sorted(self.snapshots))
-        gaps: set[date] = set()
-        if dates:
-            day = dates[0]
-            while day <= dates[-1]:
-                if day not in self.snapshots:
-                    gaps.add(day)
-                day += timedelta(days=1)
+        offsets = range((dates[-1] - dates[0]).days + 1) if dates else ()
         self.manifest = CollectionManifest(
             topic=self.manifest.topic,
             vertical=self.manifest.vertical,
             start_date=dates[0] if dates else None,
             dates=dates,
-            gaps=frozenset(gaps),
+            gaps=frozenset(dates[0] + timedelta(days=i) for i in offsets) - set(dates),
         )
-        self._write_manifest()
 
     def ingest(self, snapshot: SerpSnapshot) -> None:
         """Add or overwrite the snapshot for its date."""
@@ -135,6 +129,7 @@ class CollectionStore:
                 snapshot_to_json(snapshot),
             )
         self._refresh_manifest()
+        self._write_manifest()
 
     def export_snapshot(self, day: date) -> bytes:
         snap = self.snapshots.get(day)
@@ -205,7 +200,11 @@ class CollectionStore:
 
 
 def open_store(root: Path) -> CollectionStore:
-    """Load a collection from disk; StoreMissingError if none is there."""
+    """Load a collection from disk; StoreMissingError if none is there.
+
+    Only the topic and vertical are read from the manifest; its dates and
+    gaps are derived from the snapshots found. Loading writes nothing.
+    """
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -213,13 +212,7 @@ def open_store(root: Path) -> CollectionStore:
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest = CollectionManifest(
-            topic=doc["topic"],
-            vertical=Vertical.from_wire(doc["vertical"]),
-            start_date=date.fromisoformat(doc["start_date"])
-            if doc.get("start_date")
-            else None,
-            dates=tuple(date.fromisoformat(d) for d in doc.get("dates", ())),
-            gaps=frozenset(date.fromisoformat(d) for d in doc.get("gaps", ())),
+            topic=doc["topic"], vertical=Vertical.from_wire(doc["vertical"])
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None

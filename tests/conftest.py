@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from serpchurn.serp_io import FetchMode, FetchPlan, build_snapshot
+from serpchurn.serp_io import FetchPlan, build_snapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,7 +22,6 @@ def serp_root() -> Path:
 def harvey_plan(serp_root) -> FetchPlan:
     return FetchPlan(
         query="hurricane harvey",
-        mode=FetchMode.FIXTURE,
         fixture_dir=serp_root,
         politeness_delay=0.0,
     )

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -390,3 +391,12 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "scrape" in proc.stdout and "synth" in proc.stdout
+
+
+def test_reads_leave_the_manifest_alone(capsys, synth_store):
+    manifest = synth_store / "collection.json"
+    os.utime(manifest, ns=(1, 1))  # any rewrite would stamp the current time
+    before = manifest.read_bytes(), manifest.stat().st_mtime_ns
+    for command in ("stats", "metrics", "prob"):
+        assert run(capsys, command, "--store", str(synth_store))[0] == 0
+    assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date
 
@@ -115,6 +116,9 @@ def test_refind_points_skip_unobservable_days():
     )
     pts = refind_points(tls, 5)
     assert [k for k, _ in pts] == [0, 2, 3]
+    assert [k for k, _ in refind_points(tls, 2)] == [0, 2]
+    assert refind_points(tls, -1) == []
+    assert refind_points(tls, -5) == []
 
 
 def test_fit_from_timelines_smoke():
@@ -139,6 +143,11 @@ def test_model_doc_round_trip():
     assert again == m
     with pytest.raises(ValidationError):
         model_from_doc("{not json")
+    for field, value in (("a", 2), ("c", -1)):  # out of the model's ranges
+        bad = json.loads(doc)
+        bad[field] = value
+        with pytest.raises(ValidationError):
+            model_from_doc(json.dumps(bad))
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,6 @@ import requests
 
 from serpchurn.errors import FixtureNotFound, RateLimited, TransportError
 from serpchurn.serp_io import (
-    FetchMode,
     FetchPlan,
     build_snapshot,
     fetch_serp_page,
@@ -55,7 +54,6 @@ def test_query_slug():
 def test_fixture_layout(serp_root):
     plan = FetchPlan(
         query="hurricane harvey",
-        mode=FetchMode.FIXTURE,
         fixture_dir=serp_root,
         politeness_delay=0.0,
     )
@@ -67,7 +65,6 @@ def test_fixture_layout(serp_root):
 def test_fixture_range_layout(tmp_path):
     plan = FetchPlan(
         query="q",
-        mode=FetchMode.FIXTURE,
         fixture_dir=tmp_path,
         date_range=(date(2017, 9, 1), date(2017, 9, 30)),
         politeness_delay=0.0,
@@ -79,7 +76,6 @@ def test_fixture_range_layout(tmp_path):
 def test_missing_fixture_raises(serp_root):
     plan = FetchPlan(
         query="no such topic",
-        mode=FetchMode.FIXTURE,
         fixture_dir=serp_root,
         politeness_delay=0.0,
     )
@@ -155,8 +151,6 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         FetchPlan(query="q", politeness_delay=-1)
     with pytest.raises(ValueError):
-        FetchPlan(query="q", mode=FetchMode.FIXTURE)
-    with pytest.raises(ValueError):
         FetchPlan(query="q", date_range=(date(2017, 9, 30), date(2017, 9, 1)))
 
 
@@ -179,7 +173,6 @@ def test_build_snapshot_stops_at_block_page(serp_root):
     # 2017-09-09 p1 is the interstitial; no later page should be touched
     plan = FetchPlan(
         query="hurricane harvey",
-        mode=FetchMode.FIXTURE,
         fixture_dir=serp_root,
         politeness_delay=0.0,
     )

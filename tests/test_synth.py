@@ -1,9 +1,11 @@
-from datetime import date
+from datetime import date, timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from serpchurn.errors import OracleScaleError, ValidationError
+from serpchurn.fitting import refind_points
 from serpchurn.metrics import (
     IntervalSpec,
     RateKind,
@@ -149,23 +151,25 @@ def test_synthetic_uris_canonicalize():
     assert r.canonical_uri == "story/0"
 
 
+MIXED_KERNEL = (
+    (0.7, 0.3, 0.0, 0.0, 0.0, 0.0),
+    (0.2, 0.6, 0.2, 0.0, 0.0, 0.0),
+    (0.0, 0.3, 0.5, 0.2, 0.0, 0.0),
+    (0.0, 0.0, 0.3, 0.5, 0.2, 0.0),
+    (0.0, 0.0, 0.0, 0.3, 0.5, 0.2),
+    (0.0, 0.0, 0.0, 0.0, 0.4, 0.6),
+)
+
+
 class TestOracleAgreement:
     def test_field_for_field_on_mixed_dynamics(self):
-        kernel = (
-            (0.7, 0.3, 0.0, 0.0, 0.0, 0.0),
-            (0.2, 0.6, 0.2, 0.0, 0.0, 0.0),
-            (0.0, 0.3, 0.5, 0.2, 0.0, 0.0),
-            (0.0, 0.0, 0.3, 0.5, 0.2, 0.0),
-            (0.0, 0.0, 0.0, 0.3, 0.5, 0.2),
-            (0.0, 0.0, 0.0, 0.0, 0.4, 0.6),
-        )
         for seed in range(5):
             p = SynthParams(
                 days=12,
                 pages=3,
                 per_page=3,
                 replacement_rate=0.25,
-                transition_kernel=kernel,
+                transition_kernel=MIXED_KERNEL,
                 seed=seed,
             )
             store = generate(p)
@@ -183,6 +187,30 @@ class TestOracleAgreement:
         assert compute_report(store) == oracle_report(store)
         est = transition_matrix(store.build_timelines())
         assert [list(r) for r in est.counts] == oracle_transition_counts(store)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agreement_with_random_gap_days(self, data):
+        days = data.draw(st.integers(3, 14), label="days")
+        p = SynthParams(
+            days=days,
+            pages=data.draw(st.integers(1, 3), label="pages"),
+            per_page=data.draw(st.integers(1, 4), label="per_page"),
+            replacement_rate=data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]), label="rate"),
+            transition_kernel=data.draw(st.sampled_from([None, MIXED_KERNEL]), label="kernel"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        store = generate(p)
+        # interior days only, so the first and last day (and the span) stay put
+        holes = data.draw(st.sets(st.integers(1, days - 2), max_size=3), label="holes")
+        for i in holes:
+            del store.snapshots[p.start + timedelta(days=i)]
+        store._refresh_manifest()
+        want = oracle_report(store)
+        assert compute_report(store) == want
+        _, _, span = store.collection_stats()
+        points = refind_points(store.build_timelines(), span - 1)
+        assert points == [(k, want.prob_seen[k].value) for k in sorted(want.prob_seen)]
 
     def test_scale_guard_on_stories(self):
         p = SynthParams(days=30, pages=5, per_page=10, replacement_rate=0.9, seed=1)

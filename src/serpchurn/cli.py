@@ -164,8 +164,7 @@ def _cmd_ingest(args) -> int:
         store = open_store(root)
     except StoreMissingError:
         store = CollectionStore.create(docs[0].query, docs[0].vertical, root=root)
-    for snap in docs:
-        store.ingest(snap)
+    store.ingest(*docs)
     print(f"ingested {len(docs)} snapshot(s)", file=sys.stderr)
     return 0
 

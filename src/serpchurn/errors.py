@@ -63,11 +63,10 @@ class UnderdeterminedFitError(InsufficientDataError):
 
 
 class FitConvergenceError(SerpChurnError):
-    """The fitter exhausted its iteration budget; carries the best model so far."""
+    """The fit's error went non-finite; ``sse`` carries the offending value."""
 
-    def __init__(self, message: str, best=None, sse: float | None = None):
+    def __init__(self, message: str, sse: float | None = None):
         super().__init__(message)
-        self.best = best
         self.sse = sse
 
 

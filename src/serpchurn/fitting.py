@@ -1,8 +1,9 @@
 """Decay-curve fitting for refind probabilities.
 
 The model is P(k) = a + b*e^(-c*k). For any fixed c the optimal (a, b)
-is a linear least-squares solve, so the fit scans a coarse grid over c,
-solves (a, b) in closed form at each step, then refines the best c by
+is a linear least-squares solve: the 2x2 normal equations of the design
+[1, e^(-c*k)], summed with ``math.fsum``. The fit scans a coarse grid
+over c, solves (a, b) at each step, then refines the best c by
 golden-section search. No iterative nonlinear solver, no starting-point
 sensitivity: the same points always produce the same coefficients.
 """
@@ -12,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 from datetime import date
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     FitConvergenceError,
@@ -34,12 +34,38 @@ _REL_TOL = 1e-12
 _MAX_REFINE = 200
 
 
-def _solve_ab(c: float, ks: np.ndarray, ps: np.ndarray) -> tuple[float, float, float]:
-    """Best (a, b) for a fixed decay constant, plus the resulting SSE."""
-    design = np.column_stack([np.ones_like(ks), np.exp(-c * ks)])
-    coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
-    resid = ps - design @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
+def _decay(c: float, ks: Sequence[float]) -> list[float]:
+    return [math.exp(-c * k) for k in ks]
+
+
+def _sse(a: float, b: float, es: Sequence[float], ps: Sequence[float]) -> float:
+    """Sum of squared residuals of a + b*e against ps, summed directly."""
+    resid = [p - (a + b * e) for e, p in zip(es, ps)]
+    return math.fsum(map(mul, resid, resid))
+
+
+def _solve_ab(
+    c: float, ks: Sequence[float], ps: Sequence[float]
+) -> tuple[float, float, float]:
+    """Best (a, b) for a fixed decay constant, plus the resulting SSE.
+
+    Solves the normal equations of the design [1, e^(-c*k)], centred so
+    that b is one ratio of ``math.fsum`` sums. When the decay column has
+    no spread, every e^(-c*k) having underflowed to zero say, b is
+    unidentifiable and the best fit is the mean with b = 0.
+    """
+    n = len(ps)
+    es = _decay(c, ks)
+    e_bar, p_bar = math.fsum(es) / n, math.fsum(ps) / n
+    de = [e - e_bar for e in es]
+    sxx = math.fsum(map(mul, de, de))
+    det = n * sxx  # of the normal matrix [[n, sum e], [sum e, sum e^2]]
+    if det <= 0.0:
+        a, b = p_bar, 0.0
+    else:
+        b = (math.fsum(map(mul, de, ps)) - p_bar * math.fsum(de)) / sxx
+        a = p_bar - b * e_bar
+    return a, b, _sse(a, b, es, ps)
 
 
 def _golden_refine(ks, ps, lo: float, hi: float) -> tuple[float, float]:
@@ -88,38 +114,32 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
             f"need at least {MIN_POINTS} points, got {len(points)}"
         )
     pts = sorted((float(k), float(p)) for k, p in points)
-    ks = np.array([k for k, _ in pts])
-    ps = np.array([p for _, p in pts])
-    if len(set(ks.tolist())) != len(pts):
+    ks = [k for k, _ in pts]
+    ps = [p for _, p in pts]
+    if len(set(ks)) != len(pts):
         raise ValueError("day offsets must be distinct")
-    if (ks < 0).any():
+    if any(k < 0 for k in ks):
         raise ValueError("day offsets must be >= 0")
-    if (ps < 0).any() or (ps > 1).any():
+    if any(p < 0 or p > 1 for p in ps):
         raise ValueError("probabilities must lie in [0, 1]")
 
-    grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_STEPS)
-    sses = np.array([_solve_ab(c, ks, ps)[2] for c in grid])
-    if not np.isfinite(sses).all():
+    step = (_GRID_HI - _GRID_LO) / (_GRID_STEPS - 1)
+    grid = [_GRID_LO + i * step for i in range(_GRID_STEPS - 1)] + [_GRID_HI]
+    sses = [_solve_ab(c, ks, ps)[2] for c in grid]
+    if not all(math.isfinite(f) for f in sses):
         raise FitConvergenceError("least-squares scan produced non-finite error")
-    i = int(np.argmin(sses))  # ties resolve to the smallest c
+    i = sses.index(min(sses))  # ties resolve to the smallest c
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    c, _ = _golden_refine(ks, ps, float(lo), float(hi))
-    a, b, sse = _solve_ab(c, ks, ps)
-    if not math.isfinite(sse):
-        raise FitConvergenceError("refinement produced non-finite error", sse=sse)
+    c, _ = _golden_refine(ks, ps, lo, hi)
+    a, b, _ = _solve_ab(c, ks, ps)
 
+    degenerate = b < _B_FLOOR
     clamped = False
-    if b < _B_FLOOR:
+    if degenerate:
         # flat or rising data: the decay term carries no signal
         clamped = b < -_B_FLOOR
-        a = float(ps.mean())
-        b = 0.0
-        c = 0.0
-        sse = float(((ps - a) ** 2).sum())
-        return RefindabilityModel(
-            a=min(max(a, 0.0), 1.0), b=b, c=c, sse=sse, degenerate=True, clamped=clamped
-        )
+        a, b, c = math.fsum(ps) / len(ps), 0.0, 0.0
     if a < 0.0:
         a, clamped = 0.0, True
     elif a > 1.0:
@@ -128,9 +148,12 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
         b, clamped = 1.0, True
     if a + b > 1.0:
         b, clamped = 1.0 - a, True
-    if clamped:
-        sse = float(((ps - (a + b * np.exp(-c * ks))) ** 2).sum())
-    return RefindabilityModel(a=a, b=b, c=c, sse=sse, clamped=clamped)
+    sse = _sse(a, b, _decay(c, ks), ps)
+    if not math.isfinite(sse):
+        raise FitConvergenceError("refinement produced non-finite error", sse=sse)
+    return RefindabilityModel(
+        a=a, b=b, c=c, sse=sse, degenerate=degenerate, clamped=clamped
+    )
 
 
 def refind_points(timelines: Sequence[StoryTimeline], max_k: int) -> list[tuple[int, float]]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
-from .model import PAGES_MAX, StoryTimeline, Vertical
+from .model import N_STATES, PAGES_MAX, StoryTimeline, Vertical
 from .store import CollectionStore
 
 # -- pairwise set rates ------------------------------------------------
@@ -150,8 +150,6 @@ def avg_interval_rate(
 
 
 # -- refind probabilities ----------------------------------------------
-
-N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 
 
 def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:

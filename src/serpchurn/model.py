@@ -20,6 +20,7 @@ from urllib.parse import urlsplit
 from .errors import SerpParseError, UriParseError
 
 PAGES_MAX = 5
+N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 PAGE_CAPACITY = 10  # typical results per page; the parser takes what the page gives
 
 # Ports that never change resource identity once the scheme is gone.

@@ -15,13 +15,11 @@ from typing import Iterable
 
 from .errors import InsufficientDataError, OracleScaleError
 from .metrics import DEFAULT_INTERVALS, ChurnReport, ReportCell
-from .model import PAGES_MAX
+from .model import N_STATES, PAGES_MAX
 from .store import CollectionStore
 
 MAX_STORIES = 200
 MAX_SPAN_DAYS = 60
-
-_N_STATES = PAGES_MAX + 1
 
 
 def _guard(store: CollectionStore) -> None:
@@ -147,7 +145,7 @@ def oracle_transition_counts(store: CollectionStore) -> list[list[int]]:
         raise InsufficientDataError("store holds no snapshots")
     days = sorted(store.snapshots)
     first = _first_seen(store)
-    counts = [[0] * _N_STATES for _ in range(_N_STATES)]
+    counts = [[0] * N_STATES for _ in range(N_STATES)]
     for uri, born in first.items():
         day = born
         while day < days[-1]:

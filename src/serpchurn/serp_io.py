@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from datetime import date
 from html.parser import HTMLParser
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
-
-import requests
 
 from .errors import FixtureNotFound, RateLimited, TransportError
 from .model import SerpSnapshot, Vertical, dedup_snapshot, results_from_links
+
+if TYPE_CHECKING:
+    import requests
 
 SEARCH_URL = "https://www.google.com/search"
 RESULTS_PER_PAGE = 10
@@ -94,13 +96,16 @@ def fetch_serp_page(
 
     Fixture mode is a pure file read. Live mode sleeps the politeness
     delay before each request and maps HTTP 429 / block interstitials to
-    RateLimited and network failures to TransportError.
+    RateLimited and network failures to TransportError. Only live mode
+    imports ``requests``.
     """
     if plan.fixture_dir is not None:
         path = fixture_page_path(plan, day, page_no)
         if not path.is_file():
             raise FixtureNotFound(f"no fixture page at {path}")
         return path.read_bytes()
+
+    import requests
 
     params = {
         "q": plan.query,

@@ -75,8 +75,7 @@ class CollectionStore:
         root: Path | None = None,
     ) -> "CollectionStore":
         store = cls.create(topic, vertical, root=root)
-        for snap in snapshots:
-            store.ingest(snap)
+        store.ingest(*snapshots)
         return store
 
     # -- persistence --------------------------------------------------
@@ -108,26 +107,38 @@ class CollectionStore:
             gaps=frozenset(dates[0] + timedelta(days=i) for i in offsets) - set(dates),
         )
 
-    def ingest(self, snapshot: SerpSnapshot) -> None:
-        """Add or overwrite the snapshot for its date."""
+    def _check(self, snapshot: SerpSnapshot) -> None:
+        """StoreMismatchError unless the snapshot belongs to this collection."""
+        day = snapshot.date.isoformat()
         if snapshot.query != self.manifest.topic:
             raise StoreMismatchError(
-                f"snapshot query {snapshot.query!r} does not match "
+                f"snapshot {day} query {snapshot.query!r} does not match "
                 f"collection topic {self.manifest.topic!r}"
             )
         if snapshot.vertical is not self.manifest.vertical:
             raise StoreMismatchError(
-                f"snapshot vertical {snapshot.vertical.value!r} does not match "
+                f"snapshot {day} vertical {snapshot.vertical.value!r} does not match "
                 f"collection vertical {self.manifest.vertical.value!r}"
             )
-        self.snapshots[snapshot.date] = snapshot
+
+    def ingest(self, *snapshots: SerpSnapshot) -> None:
+        """Add or overwrite the snapshot for each one's date.
+
+        Every snapshot is checked before anything is written, so a batch
+        with one stranger in it changes nothing. The manifest is written
+        once per batch.
+        """
+        for snapshot in snapshots:
+            self._check(snapshot)
         if self.root is not None:
             snap_dir = self.root / SNAPSHOT_DIR
             snap_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                snap_dir / f"{snapshot.date.isoformat()}.json",
-                snapshot_to_json(snapshot),
-            )
+            for snapshot in snapshots:
+                _atomic_write(
+                    snap_dir / f"{snapshot.date.isoformat()}.json",
+                    snapshot_to_json(snapshot),
+                )
+        self.snapshots.update((snapshot.date, snapshot) for snapshot in snapshots)
         self._refresh_manifest()
         self._write_manifest()
 
@@ -203,7 +214,9 @@ def open_store(root: Path) -> CollectionStore:
     """Load a collection from disk; StoreMissingError if none is there.
 
     Only the topic and vertical are read from the manifest; its dates and
-    gaps are derived from the snapshots found. Loading writes nothing.
+    gaps are derived from the snapshots found. A snapshot of another
+    query or vertical raises StoreMismatchError, and a file not named
+    ``<its date>.json`` raises SerpParseError. Loading writes nothing.
     """
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
@@ -216,13 +229,17 @@ def open_store(root: Path) -> CollectionStore:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
-    snapshots: dict[date, SerpSnapshot] = {}
+    store = CollectionStore(manifest, root=root)
     snap_dir = root / SNAPSHOT_DIR
     if snap_dir.is_dir():
         for path in sorted(snap_dir.glob("*.json")):
             snap = snapshot_from_json(path.read_text(encoding="utf-8"))
-            snapshots[snap.date] = snap
-    store = CollectionStore(manifest, snapshots, root=root)
+            if path.name != f"{snap.date.isoformat()}.json":
+                raise SerpParseError(
+                    f"{path} holds the snapshot for {snap.date.isoformat()}"
+                )
+            store._check(snap)
+            store.snapshots[snap.date] = snap
     store._refresh_manifest()
     return store
 

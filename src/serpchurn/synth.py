@@ -23,14 +23,13 @@ from typing import Iterator
 
 from .errors import ValidationError
 from .model import (
+    N_STATES,
     PAGES_MAX,
     SerpSnapshot,
     Vertical,
     results_from_links,
 )
 from .store import CollectionStore
-
-N_STATES = PAGES_MAX + 1
 
 Kernel = tuple[tuple[float, ...], ...]
 

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import serpchurn
 from serpchurn.cli import main
 
 
@@ -391,6 +393,26 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "scrape" in proc.stdout and "synth" in proc.stdout
+
+
+def test_offline_imports_stay_in_the_standard_library():
+    # a fresh interpreter, so that nothing the suite imported counts
+    package_dir = Path(serpchurn.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(package_dir)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    probe = (
+        "import sys, serpchurn, serpchurn.cli; "
+        "print(serpchurn.__file__); "
+        "print(sorted(m for m in ('numpy', 'requests') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, heavy = proc.stdout.splitlines()
+    assert Path(loaded).resolve() == Path(serpchurn.__file__).resolve()
+    assert heavy == "[]"
 
 
 def test_reads_leave_the_manifest_alone(capsys, synth_store):

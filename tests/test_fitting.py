@@ -81,6 +81,32 @@ def test_noisy_data_still_fits():
     assert m.sse <= sum((p - (a + b * math.exp(-c * k))) ** 2 for k, p in pts) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "points, want",
+    [
+        # e^(-c*k) underflows to zero at these offsets for the large c on the grid
+        (
+            [(200 + i, 0.3 - 0.01 * i) for i in range(4)],
+            (0.0, 1.0, 0.0100000000000307, 0.092392252245278),
+        ),
+        (
+            [(160 + i, 0.5 * math.exp(-0.05 * i)) for i in range(6)],
+            (0.0, 1.0, 0.0499999999999971, 1.18371930008568),
+        ),
+        # e^(-c*k) < 1e-17 at every point, yet the decay constant is still
+        # identifiable from the ratios and the clamped model keeps it
+        (
+            [(50 + k, 0.2 + 0.5 * math.exp(-0.8 * k)) for k in range(12)],
+            (0.2, 0.8, 0.8, 0.3132425863185629),
+        ),
+    ],
+)
+def test_far_offsets(points, want):
+    m = fit_exponential(points)
+    assert [m.a, m.b, m.c, m.sse] == pytest.approx(want, rel=0, abs=1e-9)
+    assert m.clamped and not m.degenerate
+
+
 def test_too_few_points():
     with pytest.raises(UnderdeterminedFitError):
         fit_exponential(curve(0.1, 0.8, 1.0, n=3))

@@ -3,8 +3,11 @@ from datetime import date
 
 import pytest
 
+from serpchurn import store as store_module
+from serpchurn.cli import main
 from serpchurn.errors import (
     InsufficientDataError,
+    SerpParseError,
     StoreMismatchError,
     StoreMissingError,
 )
@@ -20,6 +23,7 @@ from serpchurn.store import (
     open_store,
     store_from_stream,
 )
+from serpchurn.synth import SynthParams, generate
 
 D = lambda day: date(2024, 1, day)
 
@@ -63,6 +67,59 @@ def test_export_is_byte_identical_to_ingested_form(tmp_path):
 def test_open_missing_store(tmp_path):
     with pytest.raises(StoreMissingError):
         open_store(tmp_path / "nope")
+
+
+def _spy_writes(monkeypatch) -> list:
+    written = []
+    real = store_module._atomic_write
+
+    def spy(path, data):
+        written.append(path.name)
+        real(path, data)
+
+    monkeypatch.setattr(store_module, "_atomic_write", spy)
+    return written
+
+
+def test_manifest_written_once_per_batch(tmp_path, monkeypatch):
+    written = _spy_writes(monkeypatch)
+    generate(SynthParams(days=50, seed=3), root=tmp_path / "col")
+    assert written.count("collection.json") == 2  # at create, then for the batch
+    assert len(written) == 52
+
+
+def test_batch_with_a_stranger_writes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "col"
+    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store.ingest(snap(1, [("a", 1)]))
+    files = sorted(p.relative_to(root) for p in root.rglob("*"))
+    written = _spy_writes(monkeypatch)
+    batch = [snap(2, [("a", 1)]), snap(3, [("a", 1)], query="other"), snap(4, [("b", 1)])]
+    with pytest.raises(StoreMismatchError):
+        store.ingest(*batch)
+    assert written == []
+    assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
+    assert sorted(store.snapshots) == [D(1)]
+
+
+@pytest.mark.parametrize(
+    "stranger, name, error, code",
+    [
+        (snap(3, [("a", 1)], query="other"), "2024-01-03.json", StoreMismatchError, 2),
+        (snap(3, [("a", 1)], vertical=Vertical.NEWS), "2024-01-03.json", StoreMismatchError, 2),
+        (snap(3, [("a", 1)]), "2024-01-09.json", SerpParseError, 6),
+    ],
+    ids=["other-query", "other-vertical", "misnamed-file"],
+)
+def test_open_store_checks_each_snapshot(tmp_path, capsys, stranger, name, error, code):
+    root = tmp_path / "col"
+    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store.ingest(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
+    (root / "snapshots" / name).write_text(snapshot_to_json(stranger), encoding="utf-8")
+    with pytest.raises(error):
+        open_store(root)
+    assert main(["stats", "--store", str(root)]) == code
+    assert capsys.readouterr().out == ""
 
 
 def test_ingest_rejects_other_topic():

@@ -50,7 +50,7 @@ from .metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from .model import Vertical, snapshot_from_json, snapshot_to_json
+from .model import SerpSnapshot, Vertical, snapshot_from_json
 from .render import (
     format_compare,
     format_prob_table,
@@ -66,6 +66,7 @@ from .store import (
     CollectionStore,
     dump_snapshot_stream,
     open_store,
+    read_identity,
     store_from_stream,
 )
 from .synth import SynthParams, generate, iter_snapshots, validate_kernel
@@ -98,6 +99,21 @@ def _load_store(arg: str) -> CollectionStore:
     return open_store(Path(arg))
 
 
+def _append(store_arg: str, snapshots: list[SerpSnapshot]) -> bool:
+    """Stream the snapshots for ``-``; else add them to the store, which is
+    never loaded and is made for the first snapshot if missing. True if stored."""
+    if store_arg == "-":
+        dump_snapshot_stream(snapshots, sys.stdout)
+        return False
+    root = Path(store_arg)
+    try:
+        store = CollectionStore(*read_identity(root), root=root)
+    except StoreMissingError:
+        store = CollectionStore(snapshots[0].query, snapshots[0].vertical, root=root)
+    store.ingest(*snapshots)
+    return True
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -124,20 +140,11 @@ def _cmd_scrape(args) -> int:
     )
     day = date.fromisoformat(args.date) if args.date else date.today()
     snapshot = build_snapshot(plan, day)
-    store_arg = _store_arg(args.store)
-    if store_arg == "-":
-        sys.stdout.write(snapshot_to_json(snapshot, compact=True) + "\n")
-        return 0
-    root = Path(store_arg)
-    try:
-        store = open_store(root)
-    except StoreMissingError:
-        store = CollectionStore.create(args.query, plan.vertical, root=root)
-    store.ingest(snapshot)
-    print(
-        f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links",
-        file=sys.stderr,
-    )
+    if _append(_store_arg(args.store), [snapshot]):
+        print(
+            f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -155,17 +162,8 @@ def _cmd_ingest(args) -> int:
             docs.append(snapshot_from_json(path.read_text(encoding="utf-8")))
     if not docs:
         raise InsufficientDataError("nothing to ingest")
-    store_arg = _store_arg(args.store)
-    if store_arg == "-":
-        dump_snapshot_stream(docs, sys.stdout)
-        return 0
-    root = Path(store_arg)
-    try:
-        store = open_store(root)
-    except StoreMissingError:
-        store = CollectionStore.create(docs[0].query, docs[0].vertical, root=root)
-    store.ingest(*docs)
-    print(f"ingested {len(docs)} snapshot(s)", file=sys.stderr)
+    if _append(_store_arg(args.store), docs):
+        print(f"ingested {len(docs)} snapshot(s)", file=sys.stderr)
     return 0
 
 
@@ -232,19 +230,16 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_fit(args) -> int:
     store = _load_store(_store_arg(args.store))
-    if args.vertical and Vertical.from_wire(args.vertical) is not store.manifest.vertical:
+    m = store.manifest
+    if args.vertical and Vertical.from_wire(args.vertical) is not m.vertical:
         raise StoreMismatchError(
-            f"store holds the {store.manifest.vertical.value} vertical, "
-            f"not {args.vertical}"
+            f"store holds the {m.vertical.value} vertical, not {args.vertical}"
         )
     timelines = store.build_timelines()
-    _, _, span = store.collection_stats()
-    max_k = args.max_k if args.max_k is not None else span - 1
+    max_k = args.max_k if args.max_k is not None else len(m.calendar) - 1
     points = refind_points(timelines, max_k)
     model = fit_exponential(points)
-    doc = model_doc(
-        model, store.manifest.vertical, len(points), max(store.snapshots)
-    )
+    doc = model_doc(model, m.vertical, len(points), m.end_date)
     _emit(doc, args.output)
     print(algebraic_form(model), file=sys.stderr)
     return 0
@@ -315,18 +310,14 @@ def _cmd_report(args) -> int:
         text = render_page_rate_bars(rates)
     elif args.kind == "temporal-grid":
         timelines = store.build_timelines()
-        _, _, span = store.collection_stats()
+        m = store.manifest
         matrix = temporal_matrix(
-            timelines,
-            start=min(store.snapshots),
-            days=span,
-            gaps=store.manifest.gaps,
+            timelines, start=m.start_date, days=len(m.calendar), gaps=m.gaps
         )
         text = render_temporal_grid(matrix)
     else:  # fit-curve
         timelines = store.build_timelines()
-        _, _, span = store.collection_stats()
-        points = refind_points(timelines, span - 1)
+        points = refind_points(timelines, len(store.manifest.calendar) - 1)
         model = fit_exponential(points)
         text = render_fit_curve([(float(k), p) for k, p in points], model)
     _emit(text, args.output)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable
 from urllib.parse import urlsplit
@@ -175,9 +175,22 @@ class CollectionManifest:
     dates: tuple[date, ...] = ()
     gaps: frozenset[date] = field(default_factory=frozenset)
 
+    @classmethod
+    def of_days(cls, topic: str, vertical: Vertical, days: Iterable[date]) -> CollectionManifest:
+        """The manifest of a collection holding a snapshot for each of ``days``."""
+        dates = tuple(sorted(days))
+        bare = cls(topic, vertical, dates[0] if dates else None, dates)
+        return replace(bare, gaps=frozenset(bare.calendar).difference(dates))
+
     @property
     def end_date(self) -> date | None:
         return self.dates[-1] if self.dates else None
+
+    @property
+    def calendar(self) -> tuple[date, ...]:
+        """Every day from the first snapshot to the last, gap days included."""
+        span = (self.dates[-1] - self.dates[0]).days + 1 if self.dates else 0
+        return tuple(self.dates[0] + timedelta(days=i) for i in range(span))
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,18 @@
 
 A collection is one topic tracked in one vertical. On disk it is a
 directory holding ``collection.json`` (the manifest) and one JSON
-document per day under ``snapshots/``. A store created without a root
-path behaves identically but keeps everything in memory, which is what
-the synthetic generator and the stream mode use.
+document per day under ``snapshots/``; the manifest's calendar is
+derived from the snapshots and never read back. A store created without
+a root path behaves identically but keeps everything in memory, which is
+what the synthetic generator and the stream mode use.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from datetime import date, timedelta
+import tempfile
+from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -35,23 +37,71 @@ SNAPSHOT_DIR = "snapshots"
 
 
 def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    """Replace ``path`` whole, through a temporary file no other writer uses."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fp:
+            # mkstemp makes the file owner-only; take the directory's read/write bits
+            os.fchmod(fp.fileno(), os.stat(path.parent).st_mode & 0o666)
+            fp.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _stored_days(root: Path) -> set[date]:
+    """The days the snapshot files are named for; SerpParseError for another name."""
+    days = set()
+    for path in (root / SNAPSHOT_DIR).glob("*.json"):
+        try:
+            day = date.fromisoformat(path.stem)
+        except ValueError:
+            day = None
+        if day is None or path.stem != day.isoformat():
+            raise SerpParseError(f"{path} is not named after a date")
+        days.add(day)
+    return days
+
+
+def _write_manifest(root: Path, topic: str, vertical: Vertical, days: set[date]) -> None:
+    """Write ``collection.json`` for the days the snapshot files are named for."""
+    m = CollectionManifest.of_days(topic, vertical, days)
+    doc = {
+        "topic": m.topic,
+        "vertical": m.vertical.value,
+        "start_date": m.start_date.isoformat() if m.start_date else None,
+        "dates": [d.isoformat() for d in m.dates],
+        "gaps": sorted(d.isoformat() for d in m.gaps),
+    }
+    _atomic_write(root / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
+
+
+def read_identity(root: Path) -> tuple[str, Vertical]:
+    """Topic and vertical, the only fields ever read from ``collection.json``."""
+    manifest_path = root / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise StoreMissingError(f"no collection at {root}")
+    try:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        return doc["topic"], Vertical.from_wire(doc["vertical"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
 
 
 class CollectionStore:
     """Snapshots for one topic x vertical, addressable by date."""
 
-    def __init__(
-        self,
-        manifest: CollectionManifest,
-        snapshots: dict[date, SerpSnapshot] | None = None,
-        root: Path | None = None,
-    ):
-        self.manifest = manifest
-        self.snapshots = dict(snapshots or {})
+    def __init__(self, topic: str, vertical: Vertical, root: Path | None = None):
+        self.topic = topic
+        self.vertical = vertical
+        self.snapshots: dict[date, SerpSnapshot] = {}
         self.root = Path(root) if root is not None else None
+
+    @property
+    def manifest(self) -> CollectionManifest:
+        """Topic, vertical and the calendar of the snapshots held."""
+        return CollectionManifest.of_days(self.topic, self.vertical, self.snapshots)
 
     # -- construction -------------------------------------------------
 
@@ -59,11 +109,8 @@ class CollectionStore:
     def create(
         cls, topic: str, vertical: Vertical, root: Path | None = None
     ) -> "CollectionStore":
-        store = cls(CollectionManifest(topic=topic, vertical=vertical), root=root)
-        if root is not None:
-            Path(root).mkdir(parents=True, exist_ok=True)
-            (Path(root) / SNAPSHOT_DIR).mkdir(exist_ok=True)
-            store._write_manifest()
+        store = cls(topic, vertical, root=root)
+        store.ingest()  # on disk, an empty batch makes the directories and manifest
         return store
 
     @classmethod
@@ -80,57 +127,31 @@ class CollectionStore:
 
     # -- persistence --------------------------------------------------
 
-    def _write_manifest(self) -> None:
-        if self.root is None:
-            return
-        m = self.manifest
-        doc = {
-            "topic": m.topic,
-            "vertical": m.vertical.value,
-            "start_date": m.start_date.isoformat() if m.start_date else None,
-            "dates": [d.isoformat() for d in m.dates],
-            "gaps": sorted(d.isoformat() for d in m.gaps),
-        }
-        _atomic_write(
-            self.root / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n"
-        )
-
-    def _refresh_manifest(self) -> None:
-        """Derive the manifest's dates, start and gaps from the snapshots."""
-        dates = tuple(sorted(self.snapshots))
-        offsets = range((dates[-1] - dates[0]).days + 1) if dates else ()
-        self.manifest = CollectionManifest(
-            topic=self.manifest.topic,
-            vertical=self.manifest.vertical,
-            start_date=dates[0] if dates else None,
-            dates=dates,
-            gaps=frozenset(dates[0] + timedelta(days=i) for i in offsets) - set(dates),
-        )
-
     def _check(self, snapshot: SerpSnapshot) -> None:
         """StoreMismatchError unless the snapshot belongs to this collection."""
         day = snapshot.date.isoformat()
-        if snapshot.query != self.manifest.topic:
+        if snapshot.query != self.topic:
             raise StoreMismatchError(
                 f"snapshot {day} query {snapshot.query!r} does not match "
-                f"collection topic {self.manifest.topic!r}"
+                f"collection topic {self.topic!r}"
             )
-        if snapshot.vertical is not self.manifest.vertical:
+        if snapshot.vertical is not self.vertical:
             raise StoreMismatchError(
                 f"snapshot {day} vertical {snapshot.vertical.value!r} does not match "
-                f"collection vertical {self.manifest.vertical.value!r}"
+                f"collection vertical {self.vertical.value!r}"
             )
 
     def ingest(self, *snapshots: SerpSnapshot) -> None:
         """Add or overwrite the snapshot for each one's date.
 
-        Every snapshot is checked before anything is written, so a batch
-        with one stranger in it changes nothing. The manifest is written
-        once per batch.
+        Every snapshot, and on disk every stored file name, is checked
+        before anything is written, so a batch with one stranger in it
+        changes nothing. The manifest is written once per batch.
         """
         for snapshot in snapshots:
             self._check(snapshot)
         if self.root is not None:
+            days = _stored_days(self.root) | {snapshot.date for snapshot in snapshots}
             snap_dir = self.root / SNAPSHOT_DIR
             snap_dir.mkdir(parents=True, exist_ok=True)
             for snapshot in snapshots:
@@ -138,9 +159,8 @@ class CollectionStore:
                     snap_dir / f"{snapshot.date.isoformat()}.json",
                     snapshot_to_json(snapshot),
                 )
+            _write_manifest(self.root, self.topic, self.vertical, days)
         self.snapshots.update((snapshot.date, snapshot) for snapshot in snapshots)
-        self._refresh_manifest()
-        self._write_manifest()
 
     def export_snapshot(self, day: date) -> bytes:
         snap = self.snapshots.get(day)
@@ -159,11 +179,7 @@ class CollectionStore:
         uniq = {
             r.canonical_uri for s in self.snapshots.values() for r in s.results
         }
-        if self.snapshots:
-            days = (max(self.snapshots) - min(self.snapshots)).days + 1
-        else:
-            days = 0
-        return total, len(uniq), days
+        return total, len(uniq), len(self.manifest.calendar)
 
     def build_timelines(self) -> tuple[StoryTimeline, ...]:
         """Day-indexed page observations for every story in the store.
@@ -174,13 +190,7 @@ class CollectionStore:
         """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
-        first = min(self.snapshots)
-        last = max(self.snapshots)
-        calendar: list[date] = []
-        day = first
-        while day <= last:
-            calendar.append(day)
-            day += timedelta(days=1)
+        calendar = self.manifest.calendar
         page_by_day: list[dict[str, int] | None] = []
         for day in calendar:
             snap = self.snapshots.get(day)
@@ -219,28 +229,14 @@ def open_store(root: Path) -> CollectionStore:
     ``<its date>.json`` raises SerpParseError. Loading writes nothing.
     """
     root = Path(root)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise StoreMissingError(f"no collection at {root}")
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest = CollectionManifest(
-            topic=doc["topic"], vertical=Vertical.from_wire(doc["vertical"])
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
-    store = CollectionStore(manifest, root=root)
-    snap_dir = root / SNAPSHOT_DIR
-    if snap_dir.is_dir():
-        for path in sorted(snap_dir.glob("*.json")):
-            snap = snapshot_from_json(path.read_text(encoding="utf-8"))
-            if path.name != f"{snap.date.isoformat()}.json":
-                raise SerpParseError(
-                    f"{path} holds the snapshot for {snap.date.isoformat()}"
-                )
-            store._check(snap)
-            store.snapshots[snap.date] = snap
-    store._refresh_manifest()
+    store = CollectionStore(*read_identity(root), root=root)
+    for day in sorted(_stored_days(root)):
+        path = root / SNAPSHOT_DIR / f"{day.isoformat()}.json"
+        snap = snapshot_from_json(path.read_text(encoding="utf-8"))
+        if snap.date != day:
+            raise SerpParseError(f"{path} holds the snapshot for {snap.date.isoformat()}")
+        store._check(snap)
+        store.snapshots[day] = snap
     return store
 
 

@@ -1,11 +1,33 @@
+import os
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import serpchurn
 from serpchurn.serp_io import FetchPlan, build_snapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Build the environment for a child interpreter that must import the
+    package under test.
+
+    The directory holding the imported package goes first on PYTHONPATH as
+    an absolute path, so a child started in another cwd, where a relative
+    entry such as the documented PYTHONPATH=src no longer resolves, still
+    loads this copy; the caller's entries follow it. Keyword arguments are
+    set in the environment as well.
+    """
+    package_dir = str(Path(serpchurn.__file__).resolve().parent.parent)
+
+    def make(**extra: str) -> dict[str, str]:
+        inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        return dict(os.environ, PYTHONPATH=os.pathsep.join([package_dir, *inherited]), **extra)
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ PASS or FAIL line per criterion id at the end of the run.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -219,21 +218,11 @@ def test_c6_parser_golden_and_block_detection(serp_root, fixture_root):
         parse_serp_html((fixture_root / "captcha.html").read_bytes())
 
 
-def _run_documented_pipeline(workdir):
+def _run_documented_pipeline(workdir, child_env):
     """The README walkthrough, verbatim: generate, ingest, measure, fit, draw."""
     workdir.mkdir()
-    # the children run in a fresh cwd, where a relative entry such as the
-    # documented PYTHONPATH=src no longer resolves, so the directory holding
-    # the imported package goes first as an absolute path
     package_init = Path(serpchurn.__file__).resolve()
-    pythonpath = [str(package_init.parent.parent)]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(pythonpath),
-        SERPCHURN_STORE=str(workdir / "demo"),
-    )
+    env = child_env(SERPCHURN_STORE=str(workdir / "demo"))
     # a child that loads another copy, a stale install say, tests another program
     probe = subprocess.run(
         [sys.executable, "-c", "import serpchurn; print(serpchurn.__file__)"],
@@ -279,8 +268,8 @@ def _run_documented_pipeline(workdir):
 
 
 @pytest.mark.criterion("C7", "the documented command pipeline is byte-identical across runs")
-def test_c7_pipeline_determinism(tmp_path):
-    first = _run_documented_pipeline(tmp_path / "run1")
-    second = _run_documented_pipeline(tmp_path / "run2")
+def test_c7_pipeline_determinism(tmp_path, child_env):
+    first = _run_documented_pipeline(tmp_path / "run1", child_env)
+    second = _run_documented_pipeline(tmp_path / "run2", child_env)
     assert first == second
     assert '"vertical": "general"' in first  # the fit step emitted a model document

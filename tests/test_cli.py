@@ -395,19 +395,15 @@ def test_console_script_help():
     assert "scrape" in proc.stdout and "synth" in proc.stdout
 
 
-def test_offline_imports_stay_in_the_standard_library():
+def test_offline_imports_stay_in_the_standard_library(child_env):
     # a fresh interpreter, so that nothing the suite imported counts
-    package_dir = Path(serpchurn.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(package_dir)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    ))
     probe = (
         "import sys, serpchurn, serpchurn.cli; "
         "print(serpchurn.__file__); "
         "print(sorted(m for m in ('numpy', 'requests') if m in sys.modules))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     loaded, heavy = proc.stdout.splitlines()

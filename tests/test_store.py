@@ -1,5 +1,10 @@
 import io
-from datetime import date
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from datetime import date, timedelta
 
 import pytest
 
@@ -226,3 +231,183 @@ def test_fixture_corpus_round_trip(tmp_path, harvey_snapshots):
     assert again.snapshots[date(2017, 9, 8)] == s08
     total, uniq, span = again.collection_stats()
     assert (total, uniq, span) == (99, 62, 2)
+
+
+# -- the calendar comes from the snapshots ------------------------------
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _doc(tmp_path, snapshot):
+    path = tmp_path / f"doc-{snapshot.date.isoformat()}.json"
+    path.write_text(snapshot_to_json(snapshot), encoding="utf-8")
+    return str(path)
+
+
+def _assert_manifest_file_matches_the_snapshots(root):
+    doc = json.loads((root / "collection.json").read_text(encoding="utf-8"))
+    m = open_store(root).manifest
+    assert doc["start_date"] == (m.start_date.isoformat() if m.start_date else None)
+    assert doc["dates"] == [d.isoformat() for d in m.dates]
+    assert doc["gaps"] == sorted(d.isoformat() for d in m.gaps)
+
+
+def test_manifest_follows_the_snapshots(tmp_path, capsys):
+    root = tmp_path / "col"
+    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    _assert_manifest_file_matches_the_snapshots(root)
+    store.ingest(snap(1, [("a", 1)]), snap(2, [("b", 1)]), snap(3, [("a", 2)]))
+    _assert_manifest_file_matches_the_snapshots(root)
+    assert main(["ingest", _doc(tmp_path, snap(6, [("c", 1)])), "--store", str(root)]) == 0
+    _assert_manifest_file_matches_the_snapshots(root)
+    assert open_store(root).manifest.gaps == frozenset({D(4), D(5)})
+
+    del store.snapshots[D(2)]
+    m = store.manifest
+    assert (m.start_date, m.dates, m.gaps) == (D(1), (D(1), D(3)), frozenset({D(2)}))
+    assert m.calendar == (D(1), D(2), D(3))
+
+
+def _scrape(serp_root, root, day):
+    return main(
+        [
+            "scrape", "--query", "hurricane harvey", "--fixture", str(serp_root),
+            "--delay", "0", "--date", day, "--store", str(root),
+        ]
+    )
+
+
+@pytest.mark.parametrize("writer", ["scrape", "ingest"])
+def test_writers_parse_no_stored_snapshot(
+    tmp_path, monkeypatch, serp_root, harvey_snapshots, writer
+):
+    s07, s08 = harvey_snapshots
+    root = tmp_path / "harvey"
+    earlier = [replace(s07, date=date(2017, 9, 5)), replace(s08, date=date(2017, 9, 6))]
+    CollectionStore.from_snapshots(s07.query, s07.vertical, earlier, root=root)
+
+    def refuse(text):
+        raise AssertionError("a writer parsed a stored snapshot")
+
+    monkeypatch.setattr(store_module, "snapshot_from_json", refuse)
+    if writer == "scrape":
+        assert _scrape(serp_root, root, "2017-09-07") == 0
+    else:
+        assert main(["ingest", _doc(tmp_path, s07), "--store", str(root)]) == 0
+    monkeypatch.undo()
+    assert sorted(open_store(root).snapshots) == [date(2017, 9, d) for d in (5, 6, 7)]
+    _assert_manifest_file_matches_the_snapshots(root)
+
+
+@pytest.mark.parametrize("name", ["notes.json", "20170906.json"])
+def test_writers_refuse_a_stray_file_before_writing(
+    tmp_path, capsys, serp_root, harvey_snapshots, name
+):
+    s07, s08 = harvey_snapshots
+    root = tmp_path / "harvey"
+    store = CollectionStore.from_snapshots(s07.query, s07.vertical, [s07], root=root)
+    (root / "snapshots" / name).write_text("{}\n", encoding="utf-8")
+    before = _files(root)
+    with pytest.raises(SerpParseError):
+        store.ingest(s08)
+    assert _scrape(serp_root, root, "2017-09-08") == 6
+    assert main(["ingest", _doc(tmp_path, s08), "--store", str(root)]) == 6
+    assert capsys.readouterr().err.count("error: serp-parse:") == 2
+    assert _files(root) == before
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "col"
+    CollectionStore.from_snapshots("topic", Vertical.GENERAL, [snap(1, [("a", 1)])], root=root)
+    before = _files(root)
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["ingest", _doc(tmp_path, snap(2, [("b", 1)])), "--store", str(root)]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("error: io:")
+    assert _files(root) == before
+
+
+def test_concurrent_writers_keep_every_day(tmp_path, child_env):
+    root = tmp_path / "col"
+    days = [D(1) + timedelta(days=i) for i in range(40)]
+    lanes = [
+        [_doc(tmp_path, replace(snap(1, [(f"s{i}", 1)]), date=days[i])) for i in range(lane, 40, 2)]
+        for lane in (0, 1)
+    ]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "serpchurn", "ingest", *docs, "--store", str(root)],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for docs in lanes
+    ]
+    for child in children:
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+    assert sorted(p.name for p in (root / "snapshots").iterdir()) == [
+        f"{d.isoformat()}.json" for d in days
+    ]
+    doc = json.loads((root / "collection.json").read_text(encoding="utf-8"))
+    assert (doc["topic"], doc["vertical"]) == ("topic", "general")
+    assert list(root.rglob("*.tmp")) == []
+    assert sorted(open_store(root).snapshots) == days
+
+
+def test_store_in_the_older_layout_takes_a_scrape(tmp_path, capsys, serp_root, harvey_snapshots):
+    # a store as earlier versions wrote it, its manifest's calendar stale
+    s07, _ = harvey_snapshots
+    old = tmp_path / "old"
+    (old / "snapshots").mkdir(parents=True)
+    stale = {
+        "topic": "hurricane harvey",
+        "vertical": "general",
+        "start_date": "2017-09-01",
+        "dates": ["2017-09-01", "2017-09-07"],
+        "gaps": ["2017-09-02", "2017-09-03"],
+    }
+    (old / "collection.json").write_text(json.dumps(stale, indent=2) + "\n", encoding="utf-8")
+    stored = old / "snapshots" / "2017-09-07.json"
+    stored.write_text(snapshot_to_json(s07), encoding="utf-8")
+    stored_bytes = stored.read_bytes()
+
+    assert _scrape(serp_root, old, "2017-09-08") == 0
+    doc = json.loads((old / "collection.json").read_text(encoding="utf-8"))
+    assert (doc["start_date"], doc["dates"], doc["gaps"]) == (
+        "2017-09-07",
+        ["2017-09-07", "2017-09-08"],
+        [],
+    )
+    assert stored.read_bytes() == stored_bytes
+
+    fresh = tmp_path / "fresh"
+    for day in ("2017-09-07", "2017-09-08"):
+        assert _scrape(serp_root, fresh, day) == 0
+    capsys.readouterr()
+    for command in (["stats"], ["metrics", "--format", "csv"], ["prob"]):
+        outputs = []
+        for root in (old, fresh):
+            code = main([*command, "--store", str(root)])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+    assert main(["stats", "--store", str(old)]) == 0
+    assert capsys.readouterr().out == (
+        "topic:      hurricane harvey\n"
+        "vertical:   general\n"
+        "first day:  2017-09-07\n"
+        "last day:   2017-09-08\n"
+        "snapshots:  2\n"
+        "span days:  2\n"
+        "gap days:   0\n"
+        "links:      99\n"
+        "stories:    62\n"
+    )

@@ -183,7 +183,6 @@ class TestOracleAgreement:
         # drop two scrape days to open a hole in the record
         del store.snapshots[date(2024, 1, 3)]
         del store.snapshots[date(2024, 1, 6)]
-        store._refresh_manifest()
         assert compute_report(store) == oracle_report(store)
         est = transition_matrix(store.build_timelines())
         assert [list(r) for r in est.counts] == oracle_transition_counts(store)
@@ -205,7 +204,6 @@ class TestOracleAgreement:
         holes = data.draw(st.sets(st.integers(1, days - 2), max_size=3), label="holes")
         for i in holes:
             del store.snapshots[p.start + timedelta(days=i)]
-        store._refresh_manifest()
         want = oracle_report(store)
         assert compute_report(store) == want
         _, _, span = store.collection_stats()

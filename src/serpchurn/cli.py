@@ -65,6 +65,7 @@ from .serp_io import DEFAULT_DELAY, FetchPlan, build_snapshot
 from .store import (
     CollectionStore,
     dump_snapshot_stream,
+    iter_snapshot_stream,
     open_store,
     read_identity,
     store_from_stream,
@@ -152,9 +153,7 @@ def _cmd_ingest(args) -> int:
     docs = []
     for name in args.files:
         if name == "-":
-            docs.extend(
-                snapshot_from_json(line) for line in sys.stdin if line.strip()
-            )
+            docs.extend(iter_snapshot_stream(sys.stdin))
         else:
             path = Path(name)
             if not path.is_file():

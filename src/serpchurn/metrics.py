@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
@@ -112,6 +114,30 @@ def uri_sets_by_day(
     }
 
 
+def _interval_mean(
+    sets: dict[date, frozenset[str]], interval: IntervalSpec, kind: RateKind, page: int | None
+) -> tuple[Fraction, int]:
+    """avg_interval_rate over prebuilt day sets. The numerators are summed per
+    size of the defining set: one exact Fraction per distinct size, not per pair."""
+    lag = timedelta(days=interval.days)
+    by_size: dict[int, int] = {}
+    n = 0
+    for d, here in sets.items():
+        later = sets.get(d + lag)
+        if later is None:
+            continue
+        ref, other = (here, later) if kind is RateKind.REPLACEMENT else (later, here)
+        if ref:
+            by_size[len(ref)] = by_size.get(len(ref), 0) + len(ref - other)
+            n += 1
+    if n == 0:
+        raise InsufficientDataError(
+            f"no usable {interval.name} anchor pairs"
+            + (f" on page {page}" if page else "")
+        )
+    return sum(Fraction(gone, size) for size, gone in by_size.items()) / n, n
+
+
 def avg_interval_rate(
     store: CollectionStore,
     interval: IntervalSpec,
@@ -125,31 +151,74 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    sets = uri_sets_by_day(store, page)
-    lag = timedelta(days=interval.days)
-    total = Fraction(0)
-    n = 0
-    for d in sorted(sets):
-        later = sets.get(d + lag)
-        if later is None:
-            continue
-        try:
-            if kind is RateKind.REPLACEMENT:
-                total += replacement_rate(sets[d], later)
-            else:
-                total += new_story_rate(sets[d], later)
-        except UndefinedRateError:
-            continue
-        n += 1
-    if n == 0:
-        raise InsufficientDataError(
-            f"no usable {interval.name} anchor pairs"
-            + (f" on page {page}" if page else "")
-        )
-    return total / n, n
+    return _interval_mean(uri_sets_by_day(store, page), interval, kind, page)
 
 
 # -- refind probabilities ----------------------------------------------
+
+
+def _tally(
+    records: Iterable[tuple[int, dict[int, int], AbstractSet[int]]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Refind rows and transition counts from sparse story records.
+
+    A record is a story's row length n, its page by day offset for the
+    days it sat on a page, and its unscraped offsets. Every other offset
+    below n is state 0, so state-0 cells and (0, 0) pairs are counted by
+    subtraction, never cell by cell.
+    """
+    rows: list[list[int]] = []
+    ends: Counter[int] = Counter()  # ends[n]: records of length n
+    pairs = [[0] * N_STATES for _ in range(N_STATES)]
+    for n, pages, unscraped in records:
+        rows.extend([0] * N_STATES for _ in range(n - len(rows)))
+        ends[n] += 1
+        usable = n - 1  # consecutive pairs with both days scraped
+        for u in unscraped:  # drops (u - 1, u) and, unless u + 1 does, (u, u + 1)
+            rows[u][0] -= 1
+            usable -= 1 + (u + 1 < n and u + 1 not in unscraped)
+        for k, page in pages.items():
+            rows[k][page] += 1
+            rows[k][0] -= 1
+            if k + 1 < n and k + 1 not in unscraped:
+                pairs[page][pages.get(k + 1, 0)] += 1
+                usable -= 1
+            if k > 0 and k - 1 not in pages and k - 1 not in unscraped:
+                pairs[0][page] += 1
+                usable -= 1
+        pairs[0][0] += usable
+    alive = 0
+    for k in reversed(range(len(rows))):
+        alive += ends[k + 1]
+        rows[k][0] += alive
+    return rows, pairs
+
+
+def _timeline_records(timelines: Sequence[StoryTimeline]):
+    """Each timeline as a sparse record for _tally, read with C-level scans."""
+    for t in timelines:
+        obs = t.observations
+        unscraped, k = set(), -1
+        try:
+            while True:
+                k = obs.index(None, k + 1)
+                unscraped.add(k)
+        except ValueError:
+            pass
+        yield len(obs), {k: obs[k] for k in compress(range(len(obs)), obs)}, unscraped
+
+
+def _store_records(store: CollectionStore):
+    """Each story's sightings as a sparse record for _tally; no timeline."""
+    template, stories = store.sightings()
+    span = len(template)
+    gaps = [i for i, state in enumerate(template) if state is None]
+    after: dict[int, set[int]] = {}  # unscraped offsets by first day, shared by its stories
+    for pages in stories.values():
+        first = next(iter(pages))
+        if first not in after:
+            after[first] = {g - first for g in gaps if g > first}
+        yield span - first, {idx - first: page for idx, page in pages.items()}, after[first]
 
 
 def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
@@ -159,15 +228,7 @@ def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
     Unscraped days count nowhere, so a row's sum is the number of stories
     eligible at k. Every refind probability is a ratio of one row's cells.
     """
-    rows: list[list[int]] = []
-    for t in timelines:
-        obs = t.observations
-        while len(rows) < len(obs):
-            rows.append([0] * N_STATES)
-        for row, state in zip(rows, obs):
-            if state is not None:
-                row[state] += 1
-    return rows
+    return _tally(_timeline_records(timelines))[0]
 
 
 def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
@@ -260,14 +321,7 @@ def transition_matrix(timelines: Sequence[StoryTimeline]) -> TransitionEstimate:
     Day pairs separated by a missing scrape contribute nothing; state 0
     is a real state on both sides, so re-entries from 0 are counted.
     """
-    counts = [[0] * N_STATES for _ in range(N_STATES)]
-    for t in timelines:
-        obs = t.observations
-        for k in range(len(obs) - 1):
-            here, there = obs[k], obs[k + 1]
-            if here is None or there is None:
-                continue
-            counts[here][there] += 1
+    counts = _tally(_timeline_records(timelines))[1]
     est = TransitionEstimate(tuple(tuple(row) for row in counts))
     if est.total == 0:
         raise InsufficientDataError("no consecutive-day observation pairs")
@@ -305,19 +359,16 @@ def temporal_matrix(
     if days < 1:
         raise ValidationError(f"span must be >= 1 day, got {days}")
     ordered = sorted(timelines, key=lambda t: (t.first_seen, t.canonical_uri))
+    template = tuple(None if start + timedelta(days=i) in gaps else 0 for i in range(days))
     rows = []
     for t in ordered:
         offset = (t.first_seen - start).days
-        if offset < 0 or offset + len(t.observations) > days:
+        end = offset + len(t.observations)
+        if offset < 0 or end > days:
             raise ValidationError(
                 f"timeline for {t.canonical_uri} falls outside the span"
             )
-        prefix: list[int | None] = [
-            None if start + timedelta(days=i) in gaps else 0 for i in range(offset)
-        ]
-        row = prefix + list(t.observations)
-        row.extend([None] * (days - len(row)))
-        rows.append(tuple(row))
+        rows.append(template[:offset] + t.observations + (None,) * (days - end))
     return TemporalMatrix(
         start=start,
         uris=tuple(t.canonical_uri for t in ordered),
@@ -361,20 +412,19 @@ def compute_rates(
     """The report's rate cells; its probability cells stay empty."""
     replacement: dict[tuple[int, int | None], ReportCell] = {}
     new_story: dict[tuple[int, int | None], ReportCell] = {}
-    page_list = list(pages)
+    sets_by_page = {page: uri_sets_by_day(store, page) for page in [None, *pages]}
     for spec in [IntervalSpec.from_days(d) for d in intervals]:
         for kind, sink in (
             (RateKind.REPLACEMENT, replacement),
             (RateKind.NEW_STORY, new_story),
         ):
-            for page in [None, *page_list]:
+            for page, sets in sets_by_page.items():
                 try:
-                    mean, n = avg_interval_rate(store, spec, kind, page)
+                    mean, n = _interval_mean(sets, spec, kind, page)
                 except InsufficientDataError:
                     continue
                 sink[(spec.days, page)] = ReportCell(float(mean), n)
-    m = store.manifest
-    return ChurnReport(m.topic, m.vertical, replacement, new_story, {}, {})
+    return ChurnReport(store.topic, store.vertical, replacement, new_story, {}, {})
 
 
 def refind_cells(
@@ -386,12 +436,18 @@ def refind_cells(
     Each cell's n is the number of stories eligible at k; offsets where
     none is eligible are left out.
     """
+    return _cells(refind_counts(timelines), pages)
+
+
+def _cells(
+    rows: list[list[int]], pages: Iterable[int]
+) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
     page_list = list(pages)
     for m in page_list:
         _check_page(m)
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
-    for k, row in enumerate(refind_counts(timelines)):
+    for k, row in enumerate(rows):
         n = sum(row)
         if n == 0:
             continue
@@ -405,10 +461,10 @@ def compute_refind(
     store: CollectionStore,
     pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> ChurnReport:
-    """The report's probability cells; its rate cells stay empty."""
-    prob, prob_page = refind_cells(store.build_timelines(), pages)
-    m = store.manifest
-    return ChurnReport(m.topic, m.vertical, {}, {}, prob, prob_page)
+    """The report's probability cells, counted from the store's sightings;
+    its rate cells stay empty."""
+    prob, prob_page = _cells(_tally(_store_records(store))[0], pages)
+    return ChurnReport(store.topic, store.vertical, {}, {}, prob, prob_page)
 
 
 def compute_report(

@@ -22,6 +22,7 @@ from .errors import SerpParseError, UriParseError
 PAGES_MAX = 5
 N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 PAGE_CAPACITY = 10  # typical results per page; the parser takes what the page gives
+_STATES = frozenset([None, *range(N_STATES)])  # a timeline cell: no scrape, or a state
 
 # Ports that never change resource identity once the scheme is gone.
 _DEFAULT_PORTS = (80, 443)
@@ -153,9 +154,9 @@ class StoryTimeline:
         first = self.observations[0]
         if not isinstance(first, int) or not 1 <= first <= PAGES_MAX:
             raise ValueError(f"day-0 observation must be a page in [1,5], got {first!r}")
-        for v in self.observations:
-            if v is not None and not 0 <= v <= PAGES_MAX:
-                raise ValueError(f"observations must be None or in [0,5], got {v!r}")
+        if not _STATES.issuperset(self.observations):
+            bad = next(v for v in self.observations if v not in _STATES)
+            raise ValueError(f"observations must be None or in [0,5], got {bad!r}")
 
     def __len__(self) -> int:
         return len(self.observations)

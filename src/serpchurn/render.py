@@ -52,18 +52,17 @@ def render_temporal_grid(matrix: TemporalMatrix, cell: int = 12) -> str:
         "</pattern>",
         "</defs>",
     ]
+    # each rect is a column's head, the row's y, and the state's tail
+    heads = [
+        f'<rect x="{ci * cell}" y="' for ci in range(max(map(len, matrix.cells), default=0))
+    ]
+    tails = {
+        state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
+        for state, fill in {None: "url(#gap)", 0: ABSENT_COLOR, **PAGE_COLORS}.items()
+    }
     for ri, row in enumerate(matrix.cells):
-        for ci, state in enumerate(row):
-            if state is None:
-                fill = "url(#gap)"
-            elif state == 0:
-                fill = ABSENT_COLOR
-            else:
-                fill = PAGE_COLORS[state]
-            parts.append(
-                f'<rect x="{ci * cell}" y="{ri * cell}" width="{cell}" '
-                f'height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
-            )
+        y = str(ri * cell)
+        parts.extend([head + y + tails[state] for head, state in zip(heads, row)])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

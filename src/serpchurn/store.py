@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -52,14 +52,20 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _stored_days(root: Path) -> set[date]:
     """The days the snapshot files are named for; SerpParseError for another name."""
+    try:
+        names = os.listdir(root / SNAPSHOT_DIR)
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
     days = set()
-    for path in (root / SNAPSHOT_DIR).glob("*.json"):
+    for name in names:
+        if not name.endswith(".json"):
+            continue
         try:
-            day = date.fromisoformat(path.stem)
+            day = date.fromisoformat(name[: -len(".json")])
         except ValueError:
             day = None
-        if day is None or path.stem != day.isoformat():
-            raise SerpParseError(f"{path} is not named after a date")
+        if day is None or name != f"{day.isoformat()}.json":
+            raise SerpParseError(f"{root / SNAPSHOT_DIR / name} is not named after a date")
         days.add(day)
     return days
 
@@ -181,6 +187,24 @@ class CollectionStore:
         }
         return total, len(uniq), len(self.manifest.calendar)
 
+    def sightings(self) -> tuple[tuple[int | None, ...], dict[str, dict[int, int]]]:
+        """The calendar as a row template, 0 on scraped days and None on gap
+        days, and each story's sightings: {calendar index: page}, stories
+        in first-seen order. A URI listed twice in a snapshot keeps its
+        later page."""
+        if not self.snapshots:
+            raise InsufficientDataError("store holds no snapshots")
+        calendar = self.manifest.calendar
+        template = tuple(0 if day in self.snapshots else None for day in calendar)
+        stories: dict[str, dict[int, int]] = {}
+        for idx, day in enumerate(calendar):
+            snap = self.snapshots.get(day)
+            if snap is None:
+                continue
+            for r in snap.results:
+                stories.setdefault(r.canonical_uri, {})[idx] = r.page
+        return template, stories
+
     def build_timelines(self) -> tuple[StoryTimeline, ...]:
         """Day-indexed page observations for every story in the store.
 
@@ -188,34 +212,15 @@ class CollectionStore:
         the last date the store covers; days without a snapshot are None.
         Returned ordered by (first_seen, canonical_uri).
         """
-        if not self.snapshots:
-            raise InsufficientDataError("store holds no snapshots")
-        calendar = self.manifest.calendar
-        page_by_day: list[dict[str, int] | None] = []
-        for day in calendar:
-            snap = self.snapshots.get(day)
-            if snap is None:
-                page_by_day.append(None)
-            else:
-                page_by_day.append({r.canonical_uri: r.page for r in snap.results})
-        first_seen_idx: dict[str, int] = {}
-        for idx, pages in enumerate(page_by_day):
-            if pages is None:
-                continue
-            for uri in pages:
-                first_seen_idx.setdefault(uri, idx)
+        template, stories = self.sightings()
+        start = min(self.snapshots)
         timelines = []
-        for uri, start_idx in first_seen_idx.items():
-            obs: list[int | None] = []
-            for pages in page_by_day[start_idx:]:
-                obs.append(None if pages is None else pages.get(uri, 0))
-            timelines.append(
-                StoryTimeline(
-                    canonical_uri=uri,
-                    first_seen=calendar[start_idx],
-                    observations=tuple(obs),
-                )
-            )
+        for uri, pages in stories.items():
+            first = next(iter(pages))
+            row = list(template[first:])
+            for idx, page in pages.items():
+                row[idx - first] = page
+            timelines.append(StoryTimeline(uri, start + timedelta(days=first), tuple(row)))
         timelines.sort(key=lambda t: (t.first_seen, t.canonical_uri))
         return tuple(timelines)
 

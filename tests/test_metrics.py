@@ -1,14 +1,15 @@
-from datetime import date
+from datetime import date, timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from serpchurn.errors import InsufficientDataError, UndefinedRateError
 from serpchurn.metrics import (
     IntervalSpec,
     RateKind,
     avg_interval_rate,
+    compute_refind,
     compute_report,
     new_story_rate,
     overlap,
@@ -16,6 +17,8 @@ from serpchurn.metrics import (
     prob_seen,
     prob_seen_on_page,
     recall,
+    refind_cells,
+    refind_counts,
     replacement_rate,
     report_to_csv,
     temporal_matrix,
@@ -23,6 +26,7 @@ from serpchurn.metrics import (
 )
 from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links
 from serpchurn.store import CollectionStore
+from serpchurn.synth import SynthParams, generate
 
 D = lambda day: date(2024, 1, day)
 
@@ -231,6 +235,61 @@ def test_page_split_partitions_prob_seen(tls, k):
     assert sum(prob_seen_on_page(tls, k, m) for m in range(1, 6)) == total
 
 
+# The dense loops the sparse counter replaced: every cell of every row.
+
+
+def dense_refind_counts(timelines):
+    rows = []
+    for t in timelines:
+        obs = t.observations
+        while len(rows) < len(obs):
+            rows.append([0] * 6)
+        for row, state in zip(rows, obs):
+            if state is not None:
+                row[state] += 1
+    return rows
+
+
+def dense_transition_counts(timelines):
+    counts = [[0] * 6 for _ in range(6)]
+    for t in timelines:
+        obs = t.observations
+        for k in range(len(obs) - 1):
+            here, there = obs[k], obs[k + 1]
+            if here is None or there is None:
+                continue
+            counts[here][there] += 1
+    return counts
+
+
+long_timelines = st.lists(
+    st.tuples(
+        st.integers(1, 5),
+        st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=39),
+    ),
+    min_size=1,
+    max_size=12,
+).map(
+    lambda rows: tuple(
+        StoryTimeline(f"s{i}.example/x", D(1), (head, *rest))
+        for i, (head, rest) in enumerate(rows)
+    )
+)
+
+
+@settings(max_examples=300)
+@given(long_timelines)
+def test_sparse_counter_matches_dense_loops(tls):
+    assert refind_counts(tls) == dense_refind_counts(tls)
+    want = dense_transition_counts(tls)
+    try:
+        est = transition_matrix(tls)
+    except InsufficientDataError:
+        assert sum(map(sum, want)) == 0
+    else:
+        assert [list(row) for row in est.counts] == want
+
+
 class TestTransitions:
     def test_worked_trio_counts(self):
         est = transition_matrix(WORKED_TRIO)
@@ -298,6 +357,61 @@ class TestTemporalMatrix:
         tls = (tl(1, None, 0, first=D(1)),)
         m = temporal_matrix(tls, start=D(1), days=3)
         assert m.cells == ((1, None, 0),)
+
+
+class TestStorePath:
+    """compute_refind counts the store's sightings; the timeline path must agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_sightings_match_timelines_with_random_gap_days(self, data):
+        days = data.draw(st.integers(3, 20), label="days")
+        p = SynthParams(
+            days=days,
+            pages=data.draw(st.integers(1, 5), label="pages"),
+            per_page=data.draw(st.integers(1, 4), label="per_page"),
+            replacement_rate=data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="rate"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        store = generate(p)
+        holes = data.draw(st.sets(st.integers(1, days - 2), max_size=4), label="holes")
+        for i in holes:
+            del store.snapshots[p.start + timedelta(days=i)]
+        report = compute_refind(store)
+        assert (report.prob_seen, report.prob_seen_page) == refind_cells(
+            store.build_timelines()
+        )
+
+    def test_a_uri_listed_twice_in_a_day_keeps_its_later_page(self):
+        twice = SerpSnapshot(
+            query="topic",
+            vertical=Vertical.GENERAL,
+            date=D(1),
+            results=results_from_links(
+                [
+                    ("http://a.com/x", "A", 1),
+                    ("http://b.com/y", "B", 1),
+                    ("http://a.com/x", "A again", 3),
+                ]
+            ),
+        )
+        store = store_of(twice)
+        report = compute_refind(store)
+        assert (report.prob_seen, report.prob_seen_page) == refind_cells(
+            store.build_timelines()
+        )
+        assert report.prob_seen_page[(0, 1)].value == 0.5
+        assert report.prob_seen_page[(0, 3)].value == 0.5
+
+    def test_report_builds_no_timeline(self, monkeypatch):
+        store = generate(SynthParams(days=6, pages=2, per_page=3, replacement_rate=0.5, seed=3))
+
+        def refuse(self):
+            raise AssertionError("compute_report built timelines")
+
+        monkeypatch.setattr(CollectionStore, "build_timelines", refuse)
+        report = compute_report(store)
+        assert report.prob_seen and report.replacement
 
 
 class TestReport:

@@ -66,8 +66,9 @@ class TestValidation:
         assert len(t) == 3
 
     def test_timeline_observation_range(self):
-        with pytest.raises(ValueError):
-            StoryTimeline("a.example/x", date(2024, 1, 1), (1, 6))
+        for bad in (-1, 6, 2.5):  # a state that is not a whole page number is no page
+            with pytest.raises(ValueError, match=f"got {bad!r}$"):
+                StoryTimeline("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
 
     def test_model_coefficient_ranges(self):
         RefindabilityModel(a=0.1, b=0.8, c=1.0, sse=0.0)

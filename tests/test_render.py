@@ -1,3 +1,4 @@
+import hashlib
 from datetime import date
 from fractions import Fraction
 
@@ -69,6 +70,33 @@ def test_grid_deterministic():
 def test_empty_grid():
     svg = render_temporal_grid(TemporalMatrix(start=D(1), uris=(), cells=()))
     assert svg.count("<rect") == 0
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_grid_bytes_pinned_on_the_readme_store():
+    store = generate(SynthParams(days=10, pages=2, per_page=5, replacement_rate=0.3, seed=42))
+    m = store.manifest
+    matrix = temporal_matrix(
+        store.build_timelines(), start=m.start_date, days=len(m.calendar), gaps=m.gaps
+    )
+    assert _sha256(render_temporal_grid(matrix)) == (
+        "d4353cb2c6b097822f7c8996f27d49e95296240322d9f5e3c6ff1129eac015d1"
+    )
+
+
+def test_grid_bytes_pinned_on_ragged_rows():
+    ragged = TemporalMatrix(
+        start=D(1), uris=("a", "b", "c", "d"), cells=((1, None), (0, 2, 3, None, 5), (), (4,))
+    )
+    assert _sha256(render_temporal_grid(ragged)) == (
+        "bb789e48023b31955281d4c8bb9b24bd1d2d4a95f258fe168e5c0640d5dcacec"
+    )
+    assert _sha256(render_temporal_grid(ragged, cell=7)) == (
+        "c51dcd89e93e49e83dab60c228a24bd3cb82830dd07aabb1f051ad717dae9683"
+    )
 
 
 def test_bar_chart_one_bar_per_page():

@@ -6,9 +6,9 @@ transitions, fitted models, comparisons and rendered reports back out.
 ``--store`` points at a collection directory; ``-`` streams snapshot
 documents over stdin/stdout instead (one compact JSON doc per line).
 
-Exit codes: 0 success, 1 transport failure, 2 usage or validation
-error, 3 missing store or fixture, 4 not enough data, 5 rate limited,
-6 unparseable input.
+Exit codes: 0 success, 1 transport, I/O or internal failure, 2 usage
+or validation error, 3 missing store or fixture, 4 not enough data,
+5 rate limited, 6 unparseable input.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from datetime import date
 from pathlib import Path
 
@@ -40,8 +41,6 @@ from .fitting import (
 )
 from .metrics import (
     IntervalSpec,
-    RateKind,
-    avg_interval_rate,
     compute_rates,
     compute_refind,
     overlap,
@@ -50,7 +49,7 @@ from .metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from .model import SerpSnapshot, Vertical, snapshot_from_json
+from .model import PAGES_MAX, SerpSnapshot, Vertical, snapshot_from_json
 from .render import (
     format_compare,
     format_prob_table,
@@ -67,10 +66,9 @@ from .store import (
     dump_snapshot_stream,
     iter_snapshot_stream,
     open_store,
-    read_identity,
     store_from_stream,
 )
-from .synth import SynthParams, generate, iter_snapshots, validate_kernel
+from .synth import Kernel, SynthParams, iter_snapshots
 
 STORE_ENV = "SERPCHURN_STORE"
 
@@ -101,18 +99,21 @@ def _load_store(arg: str) -> CollectionStore:
 
 
 def _append(store_arg: str, snapshots: list[SerpSnapshot]) -> bool:
-    """Stream the snapshots for ``-``; else add them to the store, which is
-    never loaded and is made for the first snapshot if missing. True if stored."""
+    """Stream the snapshots for ``-``; else add them to the collection of the
+    first one's query and vertical, which is never loaded. True if stored."""
     if store_arg == "-":
         dump_snapshot_stream(snapshots, sys.stdout)
         return False
-    root = Path(store_arg)
-    try:
-        store = CollectionStore(*read_identity(root), root=root)
-    except StoreMissingError:
-        store = CollectionStore(snapshots[0].query, snapshots[0].vertical, root=root)
-    store.ingest(*snapshots)
+    head = snapshots[0]
+    CollectionStore.from_snapshots(head.query, head.vertical, snapshots, root=Path(store_arg))
     return True
+
+
+def _parse_date(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ValidationError(f"{text!r} is not a YYYY-MM-DD date") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,16 +131,19 @@ def _cmd_scrape(args) -> int:
     if args.date_start or args.date_end:
         if not (args.date_start and args.date_end):
             raise ValidationError("--date-start and --date-end go together")
-        date_range = (date.fromisoformat(args.date_start), date.fromisoformat(args.date_end))
-    plan = FetchPlan(
-        query=args.query,
-        vertical=Vertical.from_wire(args.vertical),
-        pages=args.pages,
-        date_range=date_range,
-        politeness_delay=args.delay,
-        fixture_dir=Path(args.fixture) if args.fixture else None,
-    )
-    day = date.fromisoformat(args.date) if args.date else date.today()
+        date_range = (_parse_date(args.date_start), _parse_date(args.date_end))
+    try:
+        plan = FetchPlan(
+            query=args.query,
+            vertical=Vertical.from_wire(args.vertical),
+            pages=args.pages,
+            date_range=date_range,
+            politeness_delay=args.delay,
+            fixture_dir=Path(args.fixture) if args.fixture else None,
+        )
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
+    day = _parse_date(args.date) if args.date else date.today()
     snapshot = build_snapshot(plan, day)
     if _append(_store_arg(args.store), [snapshot]):
         print(
@@ -296,14 +300,9 @@ def _cmd_report(args) -> int:
         report = compute_refind(store)
         text = report_to_csv(report) if args.format == "csv" else format_prob_table(report)
     elif args.kind == "page-chart":
-        spec = IntervalSpec.from_name(args.interval)
-        rates = []
-        for page in range(1, 6):
-            try:
-                mean, _ = avg_interval_rate(store, spec, RateKind.REPLACEMENT, page)
-            except InsufficientDataError:
-                continue
-            rates.append((page, float(mean)))
+        days = IntervalSpec.from_name(args.interval).days
+        cells = compute_rates(store, [days]).replacement
+        rates = [(p, cells[days, p].value) for p in range(1, PAGES_MAX + 1) if (days, p) in cells]
         if not rates:
             raise InsufficientDataError("no page has enough data to chart")
         text = render_page_rate_bars(rates)
@@ -323,29 +322,29 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _read_kernel(path: str) -> Kernel:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return tuple(tuple(float(x) for x in row) for row in raw)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"kernel file {path} is not a matrix of numbers: {e}") from None
+
+
 def _cmd_synth(args) -> int:
-    kernel = None
-    if args.kernel:
-        raw = json.loads(Path(args.kernel).read_text(encoding="utf-8"))
-        kernel = tuple(tuple(float(x) for x in row) for row in raw)
-        validate_kernel(kernel)
     params = SynthParams(
         days=args.days,
         pages=args.pages,
         per_page=args.per_page,
         replacement_rate=args.rate,
-        transition_kernel=kernel,
+        transition_kernel=_read_kernel(args.kernel) if args.kernel else None,
         seed=args.seed,
         topic=args.topic,
         vertical=Vertical.from_wire(args.vertical),
-        start=date.fromisoformat(args.start),
+        start=_parse_date(args.start),
     )
     store_arg = _store_arg(args.store)
-    if store_arg == "-":
-        dump_snapshot_stream(iter_snapshots(params), sys.stdout)
-        return 0
-    generate(params, root=Path(store_arg))
-    print(f"generated {args.days} day(s) into {store_arg}", file=sys.stderr)
+    if _append(store_arg, list(iter_snapshots(params))):
+        print(f"generated {args.days} day(s) into {store_arg}", file=sys.stderr)
     return 0
 
 
@@ -467,11 +466,12 @@ def main(argv=None) -> int:
                 return code
         print(f"error: internal: {e}", file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as e:
-        print(f"error: validation: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # a bug, not bad input: keep the traceback
+        traceback.print_exc()
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

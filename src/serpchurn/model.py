@@ -230,11 +230,11 @@ class RefindabilityModel:
 #   {"query": ..., "vertical": "general"|"news", "date": "YYYY-MM-DD",
 #    "links": [{"uri", "canonical_uri", "title", "page", "rank"}, ...]}
 #
-# Serialization is deterministic (fixed key order, 2-space indent, UTF-8,
-# trailing newline) so stored documents are byte-stable across round trips.
+# Serialization is deterministic (fixed key order, one compact UTF-8 line and
+# its newline): stored files, exports and stream lines are the same bytes.
 
 
-def snapshot_to_json(snapshot: SerpSnapshot, *, compact: bool = False) -> str:
+def snapshot_to_json(snapshot: SerpSnapshot) -> str:
     doc = {
         "query": snapshot.query,
         "vertical": snapshot.vertical.value,
@@ -250,9 +250,7 @@ def snapshot_to_json(snapshot: SerpSnapshot, *, compact: bool = False) -> str:
             for r in snapshot.results
         ],
     }
-    if compact:
-        return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def snapshot_from_json(text: str | bytes) -> SerpSnapshot:

@@ -1,11 +1,11 @@
 """Collection store: snapshots by date, on disk or in memory.
 
 A collection is one topic tracked in one vertical. On disk it is a
-directory holding ``collection.json`` (the manifest) and one JSON
-document per day under ``snapshots/``; the manifest's calendar is
-derived from the snapshots and never read back. A store created without
-a root path behaves identically but keeps everything in memory, which is
-what the synthetic generator and the stream mode use.
+directory holding ``collection.json`` (the manifest, whose calendar is
+derived from the snapshots and never read back) and one compact JSON line
+per day under ``snapshots/``. Every write goes through ``ingest``, which
+first refuses a directory holding another topic or vertical. A store
+without a root keeps everything in memory, for synth and stream mode.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _write_manifest(root: Path, topic: str, vertical: Vertical, days: set[date])
         "dates": [d.isoformat() for d in m.dates],
         "gaps": sorted(d.isoformat() for d in m.gaps),
     }
-    _atomic_write(root / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(root / MANIFEST_NAME, json.dumps(doc) + "\n")
 
 
 def read_identity(root: Path) -> tuple[str, Vertical]:
@@ -115,9 +115,8 @@ class CollectionStore:
     def create(
         cls, topic: str, vertical: Vertical, root: Path | None = None
     ) -> "CollectionStore":
-        store = cls(topic, vertical, root=root)
-        store.ingest()  # on disk, an empty batch makes the directories and manifest
-        return store
+        # on disk, an empty batch makes the directories and manifest
+        return cls.from_snapshots(topic, vertical, (), root=root)
 
     @classmethod
     def from_snapshots(
@@ -127,7 +126,7 @@ class CollectionStore:
         snapshots: Iterable[SerpSnapshot],
         root: Path | None = None,
     ) -> "CollectionStore":
-        store = cls.create(topic, vertical, root=root)
+        store = cls(topic, vertical, root=root)
         store.ingest(*snapshots)
         return store
 
@@ -150,13 +149,19 @@ class CollectionStore:
     def ingest(self, *snapshots: SerpSnapshot) -> None:
         """Add or overwrite the snapshot for each one's date.
 
-        Every snapshot, and on disk every stored file name, is checked
-        before anything is written, so a batch with one stranger in it
-        changes nothing. The manifest is written once per batch.
+        Every snapshot, and on disk the collection's identity and each file
+        name, is checked before anything is written, so a stranger in the
+        batch changes nothing. The manifest is written once per batch.
         """
         for snapshot in snapshots:
             self._check(snapshot)
         if self.root is not None:
+            held = read_identity(self.root) if (self.root / MANIFEST_NAME).is_file() else None
+            if held not in (None, (self.topic, self.vertical)):
+                raise StoreMismatchError(
+                    f"{self.root} holds {held[0]!r} ({held[1].value}), "
+                    f"not {self.topic!r} ({self.vertical.value})"
+                )
             days = _stored_days(self.root) | {snapshot.date for snapshot in snapshots}
             snap_dir = self.root / SNAPSHOT_DIR
             snap_dir.mkdir(parents=True, exist_ok=True)
@@ -253,8 +258,7 @@ def open_store(root: Path) -> CollectionStore:
 
 def dump_snapshot_stream(snapshots: Iterable[SerpSnapshot], fp: IO[str]) -> None:
     for snap in snapshots:
-        fp.write(snapshot_to_json(snap, compact=True))
-        fp.write("\n")
+        fp.write(snapshot_to_json(snap))
 
 
 def iter_snapshot_stream(lines: Iterable[str]) -> Iterator[SerpSnapshot]:

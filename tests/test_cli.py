@@ -418,3 +418,49 @@ def test_reads_leave_the_manifest_alone(capsys, synth_store):
     for command in ("stats", "metrics", "prob"):
         assert run(capsys, command, "--store", str(synth_store))[0] == 0
     assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+
+
+# -- input errors are validation errors; anything else is internal ----------
+
+
+@pytest.mark.parametrize("content", ["5", "[[null]]", "not json", '[[1, "x"]]'])
+def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--days", "2", "--kernel", str(kernel), "--store", "-")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scrape", "--query", "q", "--date", "2017-13-01"],
+        ["scrape", "--query", "q", "--date-start", "soon", "--date-end", "2017-09-08"],
+        ["scrape", "--query", "q", "--date-start", "2017-09-08", "--date-end", "2017-09-07"],
+        ["scrape", "--query", " "],
+        ["scrape", "--query", "q", "--pages", "6"],
+        ["scrape", "--query", "q", "--delay", "-1"],
+        ["synth", "--days", "2", "--start", "01/01/2024"],
+    ],
+    ids=["date", "date-start", "reversed-window", "empty-query", "pages", "delay", "start"],
+)
+def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--store", str(tmp_path / "col"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+    assert not (tmp_path / "col").exists()
+
+
+def test_a_bug_is_internal_not_validation(capsys, monkeypatch, synth_store):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the rates")
+
+    monkeypatch.setattr("serpchurn.cli.compute_rates", broken)
+    code, out, err = run(capsys, "metrics", "--store", str(synth_store))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: internal: ValueError: a bug in the rates"
+    assert "validation" not in err

@@ -89,8 +89,8 @@ def _spy_writes(monkeypatch) -> list:
 def test_manifest_written_once_per_batch(tmp_path, monkeypatch):
     written = _spy_writes(monkeypatch)
     generate(SynthParams(days=50, seed=3), root=tmp_path / "col")
-    assert written.count("collection.json") == 2  # at create, then for the batch
-    assert len(written) == 52
+    assert written.count("collection.json") == 1
+    assert len(written) == 51
 
 
 def test_batch_with_a_stranger_writes_nothing(tmp_path, monkeypatch):
@@ -411,3 +411,85 @@ def test_store_in_the_older_layout_takes_a_scrape(tmp_path, capsys, serp_root, h
         "links:      99\n"
         "stories:    62\n"
     )
+
+
+# -- one write path: every writer checks the collection it writes into ----
+
+
+@pytest.mark.parametrize("writer", ["synth", "scrape", "ingest"])
+@pytest.mark.parametrize(
+    "held", [("elsewhere", Vertical.GENERAL), ("hurricane harvey", Vertical.NEWS)],
+    ids=["other-topic", "other-vertical"],
+)
+def test_writers_refuse_another_collection(
+    tmp_path, capsys, serp_root, harvey_snapshots, writer, held
+):
+    s07, _ = harvey_snapshots
+    root = tmp_path / "harvey"
+    topic, vertical = held
+    early = replace(s07, query=topic, vertical=vertical, date=date(2017, 9, 5))
+    CollectionStore.from_snapshots(topic, vertical, [early], root=root)
+    before = _files(root)
+    if writer == "synth":
+        argv = ["synth", "--days", "3", "--topic", "hurricane harvey", "--store", str(root)]
+        code = main(argv)
+    elif writer == "scrape":
+        code = _scrape(serp_root, root, "2017-09-07")
+    else:
+        code = main(["ingest", _doc(tmp_path, s07), "--store", str(root)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: store-mismatch:")
+    assert _files(root) == before
+
+
+def test_create_and_generate_refuse_another_collection(tmp_path, monkeypatch):
+    root = tmp_path / "col"
+    CollectionStore.from_snapshots("topic", Vertical.GENERAL, [snap(1, [("a", 1)])], root=root)
+    before = _files(root)
+    written = _spy_writes(monkeypatch)
+    with pytest.raises(StoreMismatchError) as exc:
+        CollectionStore.create("other", Vertical.GENERAL, root=root)
+    assert "'topic' (general)" in str(exc.value) and "'other' (general)" in str(exc.value)
+    with pytest.raises(StoreMismatchError):
+        CollectionStore.create("topic", Vertical.NEWS, root=root)
+    with pytest.raises(StoreMismatchError):
+        generate(SynthParams(days=3, topic="other"), root=root)
+    assert written == []
+    assert _files(root) == before
+
+
+def _indented(text):
+    """A document in the indented form earlier versions stored."""
+    return json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
+
+
+def test_store_in_the_indented_form_reads_the_same(tmp_path, capsys):
+    params = SynthParams(days=12, pages=2, per_page=3, replacement_rate=0.3, seed=5)
+    snaps = [s for s in generate(params).sorted_snapshots() if s.date != D(4)]  # a gap day
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    CollectionStore.from_snapshots("synthetic", Vertical.GENERAL, snaps, root=fresh)
+    (old / "snapshots").mkdir(parents=True)
+    for path in fresh.rglob("*.json"):
+        (old / path.relative_to(fresh)).write_text(_indented(path.read_text("utf-8")), "utf-8")
+    assert (old / "snapshots" / "2024-01-01.json").read_text("utf-8").count("\n") > 1
+    assert open_store(old).snapshots == open_store(fresh).snapshots
+    for command in (["stats"], ["metrics", "--format", "csv"], ["prob"], ["transitions"], ["fit"]):
+        outputs = []
+        for root in (old, fresh):
+            code = main([*command, "--store", str(root)])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1], command
+        assert outputs[0][0] == 0
+
+
+def test_stored_exported_and_streamed_bytes_agree(tmp_path, capsys):
+    root = tmp_path / "col"
+    argv = ["synth", "--days", "3", "--per-page", "2", "--rate", "0.5", "--seed", "1"]
+    assert main([*argv, "--store", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert main([*argv, "--store", str(root)]) == 0
+    store = open_store(root)
+    for day, line in zip(sorted(store.snapshots), lines, strict=True):
+        stored = (root / "snapshots" / f"{day.isoformat()}.json").read_bytes()
+        assert stored == store.export_snapshot(day) == line.encode("utf-8")
+        assert stored.count(b"\n") == 1

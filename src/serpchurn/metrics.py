@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
@@ -157,20 +156,19 @@ def avg_interval_rate(
 # -- refind probabilities ----------------------------------------------
 
 
-def _tally(
-    records: Iterable[tuple[int, dict[int, int], AbstractSet[int]]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Refind rows and transition counts from sparse story records.
+def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[list[int]]]:
+    """Refind rows and transition counts: the one counter behind both.
 
-    A record is a story's row length n, its page by day offset for the
-    days it sat on a page, and its unscraped offsets. Every other offset
-    below n is state 0, so state-0 cells and (0, 0) pairs are counted by
+    Each timeline gives its length n, its page by day offset for the days
+    it sat on a page, and its unscraped offsets. Every other offset below
+    n is state 0, so state-0 cells and (0, 0) pairs are counted by
     subtraction, never cell by cell.
     """
     rows: list[list[int]] = []
-    ends: Counter[int] = Counter()  # ends[n]: records of length n
+    ends: Counter[int] = Counter()  # ends[n]: timelines of length n
     pairs = [[0] * N_STATES for _ in range(N_STATES)]
-    for n, pages, unscraped in records:
+    for t in timelines:
+        n, pages, unscraped = t.length, t.pages, t.unscraped
         rows.extend([0] * N_STATES for _ in range(n - len(rows)))
         ends[n] += 1
         usable = n - 1  # consecutive pairs with both days scraped
@@ -194,33 +192,6 @@ def _tally(
     return rows, pairs
 
 
-def _timeline_records(timelines: Sequence[StoryTimeline]):
-    """Each timeline as a sparse record for _tally, read with C-level scans."""
-    for t in timelines:
-        obs = t.observations
-        unscraped, k = set(), -1
-        try:
-            while True:
-                k = obs.index(None, k + 1)
-                unscraped.add(k)
-        except ValueError:
-            pass
-        yield len(obs), {k: obs[k] for k in compress(range(len(obs)), obs)}, unscraped
-
-
-def _store_records(store: CollectionStore):
-    """Each story's sightings as a sparse record for _tally; no timeline."""
-    template, stories = store.sightings()
-    span = len(template)
-    gaps = [i for i, state in enumerate(template) if state is None]
-    after: dict[int, set[int]] = {}  # unscraped offsets by first day, shared by its stories
-    for pages in stories.values():
-        first = next(iter(pages))
-        if first not in after:
-            after[first] = {g - first for g in gaps if g > first}
-        yield span - first, {idx - first: page for idx, page in pages.items()}, after[first]
-
-
 def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
     """Row k counts the timelines in each state 0-5 exactly k days after
     first seen.
@@ -228,7 +199,7 @@ def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
     Unscraped days count nowhere, so a row's sum is the number of stories
     eligible at k. Every refind probability is a ratio of one row's cells.
     """
-    return _tally(_timeline_records(timelines))[0]
+    return _tally(timelines)[0]
 
 
 def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
@@ -321,7 +292,7 @@ def transition_matrix(timelines: Sequence[StoryTimeline]) -> TransitionEstimate:
     Day pairs separated by a missing scrape contribute nothing; state 0
     is a real state on both sides, so re-entries from 0 are counted.
     """
-    counts = _tally(_timeline_records(timelines))[1]
+    counts = _tally(timelines)[1]
     est = TransitionEstimate(tuple(tuple(row) for row in counts))
     if est.total == 0:
         raise InsufficientDataError("no consecutive-day observation pairs")
@@ -363,7 +334,7 @@ def temporal_matrix(
     rows = []
     for t in ordered:
         offset = (t.first_seen - start).days
-        end = offset + len(t.observations)
+        end = offset + len(t)
         if offset < 0 or end > days:
             raise ValidationError(
                 f"timeline for {t.canonical_uri} falls outside the span"
@@ -461,9 +432,9 @@ def compute_refind(
     store: CollectionStore,
     pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> ChurnReport:
-    """The report's probability cells, counted from the store's sightings;
+    """The report's probability cells, counted from the store's timelines;
     its rate cells stay empty."""
-    prob, prob_page = _cells(_tally(_store_records(store))[0], pages)
+    prob, prob_page = _cells(refind_counts(store.build_timelines()), pages)
     return ChurnReport(store.topic, store.vertical, {}, {}, prob, prob_page)
 
 

@@ -21,8 +21,7 @@ from .errors import SerpParseError, UriParseError
 
 PAGES_MAX = 5
 N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
-PAGE_CAPACITY = 10  # typical results per page; the parser takes what the page gives
-_STATES = frozenset([None, *range(N_STATES)])  # a timeline cell: no scrape, or a state
+_PAGES = frozenset(range(1, PAGES_MAX + 1))
 
 # Ports that never change resource identity once the scheme is gone.
 _DEFAULT_PORTS = (80, 443)
@@ -135,31 +134,59 @@ def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
 
 @dataclass(frozen=True)
 class StoryTimeline:
-    """Day-indexed page observations for one story.
+    """One story's page placements, by day offset from its first-seen day.
 
-    Index 0 is the day the story was first seen. Values are the page it
-    appeared on (1-5), 0 when a snapshot exists but the story is outside
-    pages 1-5, and None when no snapshot was taken that day.
+    ``pages`` maps each offset below ``length`` where the story sat on a
+    page to that page (1-5), offset 0 included; ``unscraped`` holds the
+    offsets with no snapshot. Every other offset is state 0: scraped, but
+    the story was outside pages 1-5.
     """
 
     canonical_uri: str
     first_seen: date
-    observations: tuple[int | None, ...]
+    length: int
+    pages: dict[int, int] = field(hash=False)  # read-only; a dict cannot be hashed
+    unscraped: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.observations, tuple):
-            object.__setattr__(self, "observations", tuple(self.observations))
-        if not self.observations:
+        if self.length < 1:
             raise ValueError("a timeline needs at least the first-seen observation")
-        first = self.observations[0]
+        first = self.pages.get(0)
         if not isinstance(first, int) or not 1 <= first <= PAGES_MAX:
             raise ValueError(f"day-0 observation must be a page in [1,5], got {first!r}")
-        if not _STATES.issuperset(self.observations):
-            bad = next(v for v in self.observations if v not in _STATES)
-            raise ValueError(f"observations must be None or in [0,5], got {bad!r}")
+        if not _PAGES.issuperset(self.pages.values()):
+            bad = next(v for v in self.pages.values() if v not in _PAGES)
+            raise ValueError(f"a page must be in [1,5], got {bad!r}")
+        offsets = self.unscraped.union(self.pages)
+        if min(offsets) < 0 or max(offsets) >= self.length:
+            raise ValueError(f"offsets must lie in [0, {self.length})")
+        both = self.unscraped.intersection(self.pages)  # so offset 0 is never unscraped
+        if both:
+            raise ValueError(f"offsets {sorted(both)} are both pages and unscraped")
+
+    @classmethod
+    def from_observations(
+        cls, canonical_uri: str, first_seen: date, row: Iterable[int | None]
+    ) -> "StoryTimeline":
+        """The timeline of a spelled-out row: a page, 0 or None for each day."""
+        row = tuple(row)
+        # offset 0 goes in whatever it holds, so that __post_init__ checks it
+        pages = {k: v for k, v in enumerate(row) if k == 0 or v not in (None, 0)}
+        unscraped = frozenset(k for k, v in enumerate(row) if v is None)
+        return cls(canonical_uri, first_seen, len(row), pages, unscraped)
+
+    @property
+    def observations(self) -> tuple[int | None, ...]:
+        """The padded row (page, 0, or None for no scrape), built on each access."""
+        row: list[int | None] = [0] * self.length
+        for k, page in self.pages.items():
+            row[k] = page
+        for k in self.unscraped:
+            row[k] = None
+        return tuple(row)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.length
 
     def notation(self) -> str:
         """Compact observation-vector form, e.g. ``{4, 2, 0, 0}`` ('-' = no scrape)."""

@@ -6,6 +6,7 @@ derived from the snapshots and never read back) and one compact JSON line
 per day under ``snapshots/``. Every write goes through ``ingest``, which
 first refuses a directory holding another topic or vertical. A store
 without a root keeps everything in memory, for synth and stream mode.
+``build_timelines`` reads every story's page placements in one walk.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -192,41 +193,35 @@ class CollectionStore:
         }
         return total, len(uniq), len(self.manifest.calendar)
 
-    def sightings(self) -> tuple[tuple[int | None, ...], dict[str, dict[int, int]]]:
-        """The calendar as a row template, 0 on scraped days and None on gap
-        days, and each story's sightings: {calendar index: page}, stories
-        in first-seen order. A URI listed twice in a snapshot keeps its
-        later page."""
+    def build_timelines(self) -> tuple[StoryTimeline, ...]:
+        """Every story's timeline, ordered by (first_seen, canonical_uri).
+
+        A story's timeline starts the day it first appears and runs to the
+        last date the store covers; days without a snapshot are unscraped.
+        A URI listed twice in one snapshot counts at its first placement.
+        Stories first seen on the same day share one unscraped set.
+        """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
-        calendar = self.manifest.calendar
-        template = tuple(0 if day in self.snapshots else None for day in calendar)
-        stories: dict[str, dict[int, int]] = {}
-        for idx, day in enumerate(calendar):
+        days = self.manifest.calendar
+        gaps: list[int] = []
+        stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
+        for idx, day in enumerate(days):
             snap = self.snapshots.get(day)
             if snap is None:
+                gaps.append(idx)
                 continue
             for r in snap.results:
-                stories.setdefault(r.canonical_uri, {})[idx] = r.page
-        return template, stories
-
-    def build_timelines(self) -> tuple[StoryTimeline, ...]:
-        """Day-indexed page observations for every story in the store.
-
-        A story's timeline starts the day it first appears and runs to
-        the last date the store covers; days without a snapshot are None.
-        Returned ordered by (first_seen, canonical_uri).
-        """
-        template, stories = self.sightings()
-        start = min(self.snapshots)
+                story = stories.get(r.canonical_uri)
+                if story is None:
+                    stories[r.canonical_uri] = (idx, {0: r.page})
+                else:
+                    story[1].setdefault(idx - story[0], r.page)
+        after: dict[int, frozenset[int]] = {}  # unscraped offsets by first index
         timelines = []
-        for uri, pages in stories.items():
-            first = next(iter(pages))
-            row = list(template[first:])
-            for idx, page in pages.items():
-                row[idx - first] = page
-            timelines.append(StoryTimeline(uri, start + timedelta(days=first), tuple(row)))
-        timelines.sort(key=lambda t: (t.first_seen, t.canonical_uri))
+        for uri, (first, pages) in sorted(stories.items(), key=lambda kv: (kv[1][0], kv[0])):
+            unscraped = after.setdefault(first, frozenset(g - first for g in gaps if g > first))
+            timelines.append(StoryTimeline(uri, days[first], len(days) - first, pages, unscraped))
         return tuple(timelines)
 
 

@@ -16,6 +16,7 @@ always produce byte-identical snapshots.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -44,6 +45,8 @@ def validate_kernel(kernel: Kernel) -> None:
     if len(kernel) != N_STATES or any(len(row) != N_STATES for row in kernel):
         raise ValidationError(f"kernel must be {N_STATES}x{N_STATES}")
     for i, row in enumerate(kernel):
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"kernel row {i} has a non-finite entry")
         if any(p < 0.0 for p in row):
             raise ValidationError(f"kernel row {i} has a negative entry")
         if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
@@ -67,6 +70,8 @@ class SynthParams:
     def __post_init__(self):
         if self.days < 1:
             raise ValidationError(f"days must be >= 1, got {self.days}")
+        if (date.max - self.start).days < self.days - 1:
+            raise ValidationError(f"{self.days} days from {self.start} run past {date.max}")
         if not 1 <= self.pages <= PAGES_MAX:
             raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
         if self.per_page < 1:

@@ -9,6 +9,7 @@ import pytest
 
 import serpchurn
 from serpchurn.cli import main
+from serpchurn.model import StoryTimeline
 
 
 def run(capsys, *argv):
@@ -433,6 +434,16 @@ def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
     assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_a_non_finite_kernel_is_a_validation_error(capsys, tmp_path, entry):
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text("[%s]" % ",".join(["[%s]" % ",".join([entry] * 6)] * 6), encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--days", "2", "--kernel", str(kernel), "--store", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: validation: kernel row 0 has a non-finite entry\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -443,8 +454,12 @@ def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
         ["scrape", "--query", "q", "--pages", "6"],
         ["scrape", "--query", "q", "--delay", "-1"],
         ["synth", "--days", "2", "--start", "01/01/2024"],
+        ["synth", "--days", "5", "--start", "9999-12-30"],
     ],
-    ids=["date", "date-start", "reversed-window", "empty-query", "pages", "delay", "start"],
+    ids=[
+        "date", "date-start", "reversed-window", "empty-query", "pages", "delay", "start",
+        "span-past-date-max",
+    ],
 )
 def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--store", str(tmp_path / "col"))
@@ -464,3 +479,33 @@ def test_a_bug_is_internal_not_validation(capsys, monkeypatch, synth_store):
     assert out == ""
     assert err.splitlines()[-1] == "error: internal: ValueError: a bug in the rates"
     assert "validation" not in err
+
+
+@pytest.mark.parametrize("days, start", [("1", "9999-12-31"), ("2", "9999-12-30")])
+def test_a_span_ending_on_date_max_is_generated(capsys, days, start):
+    code, out, err = run(capsys, "synth", "--days", days, "--start", start, "--store", "-")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith('{"query":"synthetic","vertical":"general","date":"9999-12-31"')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transitions"],
+        ["transitions", "--counts"],
+        ["fit"],
+        ["fit", "--max-k", "3"],
+        ["report", "--kind", "fit-curve", "--format", "svg"],
+        ["prob"],
+        ["metrics"],
+    ],
+    ids=["transitions", "transition-counts", "fit", "fit-max-k", "fit-curve", "prob", "metrics"],
+)
+def test_analysis_commands_build_no_padded_row(capsys, monkeypatch, synth_store, argv):
+    def refuse(self):
+        raise AssertionError("a padded row was built")
+
+    monkeypatch.setattr(StoryTimeline, "observations", property(refuse))
+    code, out, err = run(capsys, *argv, "--store", str(synth_store))
+    assert code == 0, err
+    assert out

@@ -25,6 +25,7 @@ from serpchurn.metrics import (
     transition_matrix,
 )
 from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links
+from serpchurn.oracle import oracle_report, oracle_transition_counts
 from serpchurn.store import CollectionStore
 from serpchurn.synth import SynthParams, generate
 
@@ -50,7 +51,7 @@ def store_of(*snaps):
 
 
 def tl(*obs, uri="x.example/s", first=D(1)):
-    return StoryTimeline(uri, first, obs)
+    return StoryTimeline.from_observations(uri, first, obs)
 
 
 class TestPairwiseRates:
@@ -218,7 +219,7 @@ obs_strategy = st.tuples(
 
 timelines_strategy = st.lists(obs_strategy, min_size=1, max_size=12).map(
     lambda rows: tuple(
-        StoryTimeline(f"s{i}.example/x", D(1), row) for i, row in enumerate(rows)
+        StoryTimeline.from_observations(f"s{i}.example/x", D(1), row) for i, row in enumerate(rows)
     )
 )
 
@@ -262,19 +263,26 @@ def dense_transition_counts(timelines):
     return counts
 
 
-long_timelines = st.lists(
-    st.tuples(
-        st.integers(1, 5),
-        st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=39),
-    ),
-    min_size=1,
-    max_size=12,
-).map(
+long_rows = st.tuples(
+    st.integers(1, 5),
+    st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=39),
+).map(lambda head_rest: (head_rest[0], *head_rest[1]))
+
+long_timelines = st.lists(long_rows, min_size=1, max_size=12).map(
     lambda rows: tuple(
-        StoryTimeline(f"s{i}.example/x", D(1), (head, *rest))
-        for i, (head, rest) in enumerate(rows)
+        StoryTimeline.from_observations(f"s{i}.example/x", D(1), row)
+        for i, row in enumerate(rows)
     )
 )
+
+
+@settings(max_examples=300)
+@given(st.one_of(obs_strategy, long_rows))
+def test_a_row_survives_the_sparse_form(row):
+    t = StoryTimeline.from_observations("x.example/s", D(1), row)
+    assert t.observations == row
+    assert len(t) == len(row)
+    assert t.notation() == "{" + ", ".join("-" if v is None else str(v) for v in row) + "}"
 
 
 @settings(max_examples=300)
@@ -360,11 +368,11 @@ class TestTemporalMatrix:
 
 
 class TestStorePath:
-    """compute_refind counts the store's sightings; the timeline path must agree."""
+    """The store builds sparse timelines in one walk; every count reads them."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_sightings_match_timelines_with_random_gap_days(self, data):
+    def test_store_timelines_match_their_row_rebuilds_with_random_gap_days(self, data):
         days = data.draw(st.integers(3, 20), label="days")
         p = SynthParams(
             days=days,
@@ -377,41 +385,51 @@ class TestStorePath:
         holes = data.draw(st.sets(st.integers(1, days - 2), max_size=4), label="holes")
         for i in holes:
             del store.snapshots[p.start + timedelta(days=i)]
-        report = compute_refind(store)
-        assert (report.prob_seen, report.prob_seen_page) == refind_cells(
-            store.build_timelines()
+        built = store.build_timelines()
+        rebuilt = tuple(
+            StoryTimeline.from_observations(t.canonical_uri, t.first_seen, t.observations)
+            for t in built
         )
+        assert rebuilt == built
+        assert refind_counts(rebuilt) == refind_counts(built)
+        assert dense_transition_counts(rebuilt) == dense_transition_counts(built)
+        try:
+            est = transition_matrix(built)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                transition_matrix(rebuilt)
+        else:
+            assert transition_matrix(rebuilt).counts == est.counts
 
-    def test_a_uri_listed_twice_in_a_day_keeps_its_later_page(self):
-        twice = SerpSnapshot(
-            query="topic",
-            vertical=Vertical.GENERAL,
-            date=D(1),
-            results=results_from_links(
-                [
-                    ("http://a.com/x", "A", 1),
-                    ("http://b.com/y", "B", 1),
-                    ("http://a.com/x", "A again", 3),
-                ]
-            ),
-        )
-        store = store_of(twice)
-        report = compute_refind(store)
-        assert (report.prob_seen, report.prob_seen_page) == refind_cells(
-            store.build_timelines()
-        )
-        assert report.prob_seen_page[(0, 1)].value == 0.5
-        assert report.prob_seen_page[(0, 3)].value == 0.5
+    def test_a_uri_listed_twice_in_a_day_counts_at_its_first_placement(self):
+        def twice(day, a_pages, b_page):
+            links = [("http://a.com/x", "A", a_pages[0]), ("http://b.com/y", "B", b_page)]
+            return SerpSnapshot(
+                query="topic",
+                vertical=Vertical.GENERAL,
+                date=D(day),
+                results=results_from_links(links + [("http://a.com/x", "A again", a_pages[1])]),
+            )
 
-    def test_report_builds_no_timeline(self, monkeypatch):
+        store = store_of(twice(1, (1, 3), 1), twice(2, (2, 1), 3))
+        report = compute_report(store)
+        assert report == oracle_report(store)
+        assert report.prob_seen_page[(0, 1)].value == 1.0
+        assert report.prob_seen_page[(0, 3)].value == 0.0
+        est = transition_matrix(store.build_timelines())
+        assert [list(row) for row in est.counts] == oracle_transition_counts(store)
+        assert est.counts[1][2] == 1 and est.counts[1][3] == 1
+
+    def test_report_builds_no_padded_row(self, monkeypatch):
         store = generate(SynthParams(days=6, pages=2, per_page=3, replacement_rate=0.5, seed=3))
 
         def refuse(self):
-            raise AssertionError("compute_report built timelines")
+            raise AssertionError("compute_report built a padded row")
 
-        monkeypatch.setattr(CollectionStore, "build_timelines", refuse)
+        monkeypatch.setattr(StoryTimeline, "observations", property(refuse))
         report = compute_report(store)
         assert report.prob_seen and report.replacement
+        assert transition_matrix(store.build_timelines()).total
 
 
 class TestReport:

@@ -59,16 +59,32 @@ class TestValidation:
 
     def test_timeline_first_day_must_be_on_page(self):
         with pytest.raises(ValueError):
-            StoryTimeline("a.example/x", date(2024, 1, 1), (0, 1))
+            StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (0, 1))
         with pytest.raises(ValueError):
-            StoryTimeline("a.example/x", date(2024, 1, 1), (None, 1))
-        t = StoryTimeline("a.example/x", date(2024, 1, 1), (3, None, 0))
+            StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (None, 1))
+        t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (3, None, 0))
         assert len(t) == 3
 
     def test_timeline_observation_range(self):
         for bad in (-1, 6, 2.5):  # a state that is not a whole page number is no page
             with pytest.raises(ValueError, match=f"got {bad!r}$"):
-                StoryTimeline("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
+                StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
+
+    @pytest.mark.parametrize(
+        "pages, unscraped",
+        [({0: 1, 2: 3}, {2}), ({0: 1, 4: 2}, ()), ({0: 1, -1: 2}, ()), ({0: 1}, {0}), ({0: 1}, {4})],
+        ids=["page-and-unscraped", "page-past-end", "negative", "unscraped-day-0", "unscraped-past-end"],
+    )
+    def test_timeline_offsets(self, pages, unscraped):
+        with pytest.raises(ValueError):
+            StoryTimeline("a.example/x", date(2024, 1, 1), 4, pages, frozenset(unscraped))
+
+    def test_timeline_is_its_sparse_form(self):
+        t = StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 2}, frozenset({2}))
+        row = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
+        assert t == row and hash(t) == hash(row)
+        assert t.observations == (4, 2, None, 0)
+        assert t != StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 3}, frozenset({2}))
 
     def test_model_coefficient_ranges(self):
         RefindabilityModel(a=0.1, b=0.8, c=1.0, sse=0.0)
@@ -168,5 +184,5 @@ class TestInterchange:
             snapshot_from_json(text)
 
     def test_notation(self):
-        t = StoryTimeline("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
+        t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t.notation() == "{4, 2, -, 0}"

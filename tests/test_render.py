@@ -26,8 +26,8 @@ from serpchurn.synth import SynthParams, generate
 D = lambda day: date(2024, 1, day)
 
 TLS = (
-    StoryTimeline("a.example/s", D(1), (4, 2, None, 0)),
-    StoryTimeline("b.example/s", D(2), (1, None, 1)),
+    StoryTimeline.from_observations("a.example/s", D(1), (4, 2, None, 0)),
+    StoryTimeline.from_observations("b.example/s", D(2), (1, None, 1)),
 )
 MATRIX = temporal_matrix(TLS, start=D(1), days=4, gaps=frozenset({D(3)}))
 

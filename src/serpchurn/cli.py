@@ -20,6 +20,7 @@ import sys
 import traceback
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     FixtureNotFound,
@@ -40,6 +41,7 @@ from .fitting import (
     refind_points,
 )
 from .metrics import (
+    ChurnReport,
     IntervalSpec,
     compute_rates,
     compute_refind,
@@ -49,7 +51,7 @@ from .metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from .model import PAGES_MAX, SerpSnapshot, Vertical, snapshot_from_json
+from .model import PAGES_MAX, RefindabilityModel, SerpSnapshot, Vertical, snapshot_from_json
 from .render import (
     format_compare,
     format_prob_table,
@@ -121,6 +123,21 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _table(report: ChurnReport, fmt: str, text_table: Callable[[ChurnReport], str]) -> str:
+    """The report as CSV for ``--format csv``, else as its text table."""
+    return report_to_csv(report) if fmt == "csv" else text_table(report)
+
+
+def _fit(
+    store: CollectionStore, max_k: int | None = None
+) -> tuple[list[tuple[int, float]], RefindabilityModel]:
+    """Refind points up to ``max_k`` (default: the span's last offset) and their fit."""
+    if max_k is None:
+        max_k = len(store.manifest.calendar) - 1
+    points = refind_points(store.build_timelines(), max_k)
+    return points, fit_exponential(points)
 
 
 # -- subcommand bodies --------------------------------------------------
@@ -203,20 +220,13 @@ def _parse_intervals(text: str) -> list[int]:
 def _cmd_metrics(args) -> int:
     store = _load_store(_store_arg(args.store))
     report = compute_rates(store, intervals=_parse_intervals(args.intervals))
-    if args.format == "csv":
-        _emit(report_to_csv(report), args.output)
-    else:
-        _emit(format_rate_table(report), args.output)
+    _emit(_table(report, args.format, format_rate_table), args.output)
     return 0
 
 
 def _cmd_prob(args) -> int:
     store = _load_store(_store_arg(args.store))
-    report = compute_refind(store)
-    if args.format == "csv":
-        _emit(report_to_csv(report), args.output)
-    else:
-        _emit(format_prob_table(report), args.output)
+    _emit(_table(compute_refind(store), args.format, format_prob_table), args.output)
     return 0
 
 
@@ -238,10 +248,7 @@ def _cmd_fit(args) -> int:
         raise StoreMismatchError(
             f"store holds the {m.vertical.value} vertical, not {args.vertical}"
         )
-    timelines = store.build_timelines()
-    max_k = args.max_k if args.max_k is not None else len(m.calendar) - 1
-    points = refind_points(timelines, max_k)
-    model = fit_exponential(points)
+    points, model = _fit(store, args.max_k)
     doc = model_doc(model, m.vertical, len(points), m.end_date)
     _emit(doc, args.output)
     print(algebraic_form(model), file=sys.stderr)
@@ -249,16 +256,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    store_a = open_store(Path(args.store_a))
-    store_b = open_store(Path(args.store_b))
-    set_a = {
-        r.canonical_uri for s in store_a.snapshots.values() for r in s.results
-    }
-    set_b = {
-        r.canonical_uri for s in store_b.snapshots.values() for r in s.results
-    }
-    label_a = store_a.manifest.vertical.value
-    label_b = store_b.manifest.vertical.value
+    stores = [open_store(Path(args.store_a)), open_store(Path(args.store_b))]
+    set_a, set_b = (
+        {r.canonical_uri for s in store.snapshots.values() for r in s.results}
+        for store in stores
+    )
+    label_a, label_b = (store.vertical.value for store in stores)
     if label_a == label_b:
         label_a, label_b = "a", "b"
     _emit(
@@ -294,11 +297,9 @@ def _cmd_report(args) -> int:
         )
     store = _load_store(_store_arg(args.store))
     if args.kind == "rates-table":
-        report = compute_rates(store)
-        text = report_to_csv(report) if args.format == "csv" else format_rate_table(report)
+        text = _table(compute_rates(store), args.format, format_rate_table)
     elif args.kind == "prob-table":
-        report = compute_refind(store)
-        text = report_to_csv(report) if args.format == "csv" else format_prob_table(report)
+        text = _table(compute_refind(store), args.format, format_prob_table)
     elif args.kind == "page-chart":
         days = IntervalSpec.from_name(args.interval).days
         cells = compute_rates(store, [days]).replacement
@@ -314,9 +315,7 @@ def _cmd_report(args) -> int:
         )
         text = render_temporal_grid(matrix)
     else:  # fit-curve
-        timelines = store.build_timelines()
-        points = refind_points(timelines, len(store.manifest.calendar) - 1)
-        model = fit_exponential(points)
+        points, model = _fit(store)
         text = render_fit_curve([(float(k), p) for k, p in points], model)
     _emit(text, args.output)
     return 0

@@ -71,7 +71,8 @@ class FitConvergenceError(SerpChurnError):
 
 
 class ValidationError(SerpChurnError):
-    """Invalid synthetic-stream parameters (e.g. a non-stochastic kernel)."""
+    """Invalid input: a flag value, date, interval, fetch plan or kernel (say, not
+    stochastic), or a report CSV or model document read back in."""
 
 
 class OracleScaleError(SerpChurnError):

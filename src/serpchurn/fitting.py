@@ -103,8 +103,8 @@ def _golden_refine(ks, ps, lo: float, hi: float) -> tuple[float, float]:
 def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel:
     """Fit P(k) = a + b*e^(-c*k) to (day offset, probability) points.
 
-    Needs at least four points with distinct non-negative offsets and
-    probabilities in [0, 1]. When the amplitude collapses to zero the
+    Needs at least four points with distinct, finite, non-negative offsets
+    and probabilities in [0, 1]. When the amplitude collapses to zero the
     decay constant is unidentifiable and the fit degrades to the best
     constant, flagged as degenerate. Out-of-range coefficients are
     pulled back into [0, 1] (and a + b <= 1) with the clamped flag set.
@@ -120,7 +120,9 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
         raise ValueError("day offsets must be distinct")
     if any(k < 0 for k in ks):
         raise ValueError("day offsets must be >= 0")
-    if any(p < 0 or p > 1 for p in ps):
+    if not all(math.isfinite(k) for k in ks):
+        raise ValueError("day offsets must be finite")
+    if not all(0 <= p <= 1 for p in ps):  # NaN fails both comparisons
         raise ValueError("probabilities must lie in [0, 1]")
 
     step = (_GRID_HI - _GRID_LO) / (_GRID_STEPS - 1)

@@ -114,11 +114,12 @@ def uri_sets_by_day(
 
 
 def _interval_mean(
-    sets: dict[date, frozenset[str]], interval: IntervalSpec, kind: RateKind, page: int | None
-) -> tuple[Fraction, int]:
-    """avg_interval_rate over prebuilt day sets. The numerators are summed per
-    size of the defining set: one exact Fraction per distinct size, not per pair."""
-    lag = timedelta(days=interval.days)
+    sets: dict[date, frozenset[str]], days: int, kind: RateKind
+) -> tuple[Fraction, int] | None:
+    """avg_interval_rate over prebuilt day sets, or None when no anchor pair
+    is usable. The numerators are summed per size of the defining set: one
+    exact Fraction per distinct size, not per pair."""
+    lag = timedelta(days=days)
     by_size: dict[int, int] = {}
     n = 0
     for d, here in sets.items():
@@ -130,10 +131,7 @@ def _interval_mean(
             by_size[len(ref)] = by_size.get(len(ref), 0) + len(ref - other)
             n += 1
     if n == 0:
-        raise InsufficientDataError(
-            f"no usable {interval.name} anchor pairs"
-            + (f" on page {page}" if page else "")
-        )
+        return None
     return sum(Fraction(gone, size) for size, gone in by_size.items()) / n, n
 
 
@@ -150,7 +148,13 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    return _interval_mean(uri_sets_by_day(store, page), interval, kind, page)
+    mean = _interval_mean(uri_sets_by_day(store, page), interval.days, kind)
+    if mean is None:
+        raise InsufficientDataError(
+            f"no usable {interval.name} anchor pairs"
+            + (f" on page {page}" if page else "")
+        )
+    return mean
 
 
 # -- refind probabilities ----------------------------------------------
@@ -376,25 +380,23 @@ DEFAULT_INTERVALS = (1, 7, 30)
 
 
 def compute_rates(
-    store: CollectionStore,
-    intervals: Iterable[int] = DEFAULT_INTERVALS,
-    pages: Iterable[int] = range(1, PAGES_MAX + 1),
+    store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
-    """The report's rate cells; its probability cells stay empty."""
+    """The report's rate cells, all pages and each page 1-5; its probability
+    cells stay empty. A cell with no usable anchor pair is left out."""
     replacement: dict[tuple[int, int | None], ReportCell] = {}
     new_story: dict[tuple[int, int | None], ReportCell] = {}
-    sets_by_page = {page: uri_sets_by_day(store, page) for page in [None, *pages]}
+    sets_by_page = {page: uri_sets_by_day(store, page) for page in [None, *range(1, PAGES_MAX + 1)]}
     for spec in [IntervalSpec.from_days(d) for d in intervals]:
         for kind, sink in (
             (RateKind.REPLACEMENT, replacement),
             (RateKind.NEW_STORY, new_story),
         ):
             for page, sets in sets_by_page.items():
-                try:
-                    mean, n = _interval_mean(sets, spec, kind, page)
-                except InsufficientDataError:
-                    continue
-                sink[(spec.days, page)] = ReportCell(float(mean), n)
+                found = _interval_mean(sets, spec.days, kind)
+                if found is not None:
+                    mean, n = found
+                    sink[(spec.days, page)] = ReportCell(float(mean), n)
     return ChurnReport(store.topic, store.vertical, replacement, new_story, {}, {})
 
 
@@ -407,18 +409,12 @@ def refind_cells(
     Each cell's n is the number of stories eligible at k; offsets where
     none is eligible are left out.
     """
-    return _cells(refind_counts(timelines), pages)
-
-
-def _cells(
-    rows: list[list[int]], pages: Iterable[int]
-) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
     page_list = list(pages)
     for m in page_list:
         _check_page(m)
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
-    for k, row in enumerate(rows):
+    for k, row in enumerate(refind_counts(timelines)):
         n = sum(row)
         if n == 0:
             continue
@@ -428,24 +424,17 @@ def _cells(
     return prob, prob_page
 
 
-def compute_refind(
-    store: CollectionStore,
-    pages: Iterable[int] = range(1, PAGES_MAX + 1),
-) -> ChurnReport:
-    """The report's probability cells, counted from the store's timelines;
-    its rate cells stay empty."""
-    prob, prob_page = _cells(refind_counts(store.build_timelines()), pages)
+def compute_refind(store: CollectionStore) -> ChurnReport:
+    """The report's probability cells, pages 1-5, counted from the store's
+    timelines; its rate cells stay empty."""
+    prob, prob_page = refind_cells(store.build_timelines())
     return ChurnReport(store.topic, store.vertical, {}, {}, prob, prob_page)
 
 
-def compute_report(
-    store: CollectionStore,
-    intervals: Iterable[int] = DEFAULT_INTERVALS,
-    pages: Iterable[int] = range(1, PAGES_MAX + 1),
-) -> ChurnReport:
-    page_list = list(pages)
-    rates = compute_rates(store, intervals, page_list)
-    refind = compute_refind(store, page_list)
+def compute_report(store: CollectionStore) -> ChurnReport:
+    """Every rate at the daily, weekly and monthly lags and every refind probability."""
+    rates = compute_rates(store)
+    refind = compute_refind(store)
     return replace(
         rates, prob_seen=refind.prob_seen, prob_seen_page=refind.prob_seen_page
     )

@@ -84,6 +84,8 @@ class SerpResult:
     rank: int  # 1-based position across all pages of the snapshot
 
     def __post_init__(self):
+        if type(self.page) is not int or type(self.rank) is not int:  # not 2.0, nor True
+            raise ValueError(f"page and rank must be ints, got {self.page!r} and {self.rank!r}")
         if not 1 <= self.page <= PAGES_MAX:
             raise ValueError(f"page must be in [1, {PAGES_MAX}], got {self.page}")
         if self.rank < 1:
@@ -100,6 +102,8 @@ class SerpSnapshot:
     results: tuple[SerpResult, ...]
 
     def __post_init__(self):
+        if not isinstance(self.query, str):
+            raise ValueError(f"query must be a string, got {self.query!r}")
         if not isinstance(self.results, tuple):
             object.__setattr__(self, "results", tuple(self.results))
         last_rank = 0
@@ -152,10 +156,12 @@ class StoryTimeline:
         if self.length < 1:
             raise ValueError("a timeline needs at least the first-seen observation")
         first = self.pages.get(0)
-        if not isinstance(first, int) or not 1 <= first <= PAGES_MAX:
+        if type(first) is not int or not 1 <= first <= PAGES_MAX:
             raise ValueError(f"day-0 observation must be a page in [1,5], got {first!r}")
-        if not _PAGES.issuperset(self.pages.values()):
-            bad = next(v for v in self.pages.values() if v not in _PAGES)
+        pages = self.pages.values()
+        # 2.0 and True equal pages 2 and 1 but are no page, so the types count too
+        if not (_PAGES.issuperset(pages) and {int}.issuperset(map(type, pages))):
+            bad = next(v for v in pages if type(v) is not int or v not in _PAGES)
             raise ValueError(f"a page must be in [1,5], got {bad!r}")
         offsets = self.unscraped.union(self.pages)
         if min(offsets) < 0 or max(offsets) >= self.length:

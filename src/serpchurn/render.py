@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .fitting import eval_model
 from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate
-from .model import RefindabilityModel, StoryTimeline
+from .model import PAGES_MAX, RefindabilityModel, StoryTimeline
 
 # Fill colors for page states 1-5 on the temporal grid and bar charts.
 PAGE_COLORS = {
@@ -32,13 +32,14 @@ def _fmt(x: float) -> str:
 # -- SVG ----------------------------------------------------------------
 
 
-def render_temporal_grid(matrix: TemporalMatrix, cell: int = 12) -> str:
-    """Story-by-day grid; exactly one rect per cell.
+def render_temporal_grid(matrix: TemporalMatrix) -> str:
+    """Story-by-day grid; exactly one 12-pixel square rect per cell.
 
     Page states use the page palette, state 0 is white, and days with no
     snapshot are hatched via a line pattern (keeping the rect count equal
     to rows x columns).
     """
+    cell = 12
     rows = len(matrix.cells)
     cols = matrix.days
     width = cols * cell
@@ -67,11 +68,9 @@ def render_temporal_grid(matrix: TemporalMatrix, cell: int = 12) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_page_rate_bars(
-    rates: Sequence[tuple[int, float]], width: int = 360, height: int = 240
-) -> str:
-    """One bar per page for a rate in [0, 1], colored by page."""
-    pad = 24
+def render_page_rate_bars(rates: Sequence[tuple[int, float]]) -> str:
+    """One bar per page for a rate in [0, 1], colored by page, on a 360x240 chart."""
+    width, height, pad = 360, 240, 24
     chart_h = height - 2 * pad
     n = max(len(rates), 1)
     slot = (width - 2 * pad) / n
@@ -103,13 +102,10 @@ def render_page_rate_bars(
 
 
 def render_fit_curve(
-    points: Sequence[tuple[float, float]],
-    model: RefindabilityModel,
-    width: int = 480,
-    height: int = 320,
+    points: Sequence[tuple[float, float]], model: RefindabilityModel
 ) -> str:
-    """Observed probabilities as dots, the fitted curve as a polyline."""
-    pad = 30
+    """Observed probabilities as dots, the fitted curve as a polyline; 480x320."""
+    width, height, pad = 480, 320, 30
     max_k = max((k for k, _ in points), default=1.0) or 1.0
     plot_w = width - 2 * pad
     plot_h = height - 2 * pad
@@ -164,8 +160,9 @@ def format_rate_table(report: ChurnReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_prob_table(report: ChurnReport, pages: Sequence[int] = range(1, 6)) -> str:
-    """P(seen) by day offset, with the per-page split alongside."""
+def format_prob_table(report: ChurnReport) -> str:
+    """P(seen) by day offset, with the split over pages 1-5 alongside."""
+    pages = range(1, PAGES_MAX + 1)
     head = f"{'k':>4} {'P(seen)':>8} {'n':>6}" + "".join(
         f" {'p' + str(m):>7}" for m in pages
     )

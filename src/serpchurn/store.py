@@ -91,7 +91,10 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
         raise StoreMissingError(f"no collection at {root}")
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        return doc["topic"], Vertical.from_wire(doc["vertical"])
+        topic, vertical = doc["topic"], Vertical.from_wire(doc["vertical"])
+        if not isinstance(topic, str):
+            raise TypeError(f"topic must be a string, got {topic!r}")
+        return topic, vertical
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
 

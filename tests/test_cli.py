@@ -254,6 +254,24 @@ def test_prob_table(capsys, synth_store):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("command, kind", [("metrics", "rates-table"), ("prob", "prob-table")])
+def test_a_report_table_is_its_command_output(capsys, synth_store, command, kind, fmt):
+    store = ("--store", str(synth_store))
+    code, table, _ = run(capsys, command, "--format", fmt, *store)
+    assert code == 0 and table
+    assert run(capsys, "report", "--kind", kind, "--format", fmt, *store) == (0, table, "")
+
+
+def test_fit_curve_draws_the_fitted_points(capsys, synth_store):
+    store = ("--store", str(synth_store))
+    code, doc, _ = run(capsys, "fit", *store)
+    assert code == 0
+    code, svg, _ = run(capsys, "report", "--kind", "fit-curve", "--format", "svg", *store)
+    assert code == 0
+    assert svg.count("<circle") == json.loads(doc)["n_points"]
+
+
 def test_report_svg_kinds(capsys, synth_store):
     for kind in ("temporal-grid", "page-chart", "fit-curve"):
         code, out, _ = run(
@@ -509,3 +527,19 @@ def test_analysis_commands_build_no_padded_row(capsys, monkeypatch, synth_store,
     code, out, err = run(capsys, *argv, "--store", str(synth_store))
     assert code == 0, err
     assert out
+
+
+@pytest.mark.parametrize("command", ["prob", "transitions", "fit"])
+@pytest.mark.parametrize(
+    "day, page", [(-1, 1.0), (0, 2.0), (-1, True)], ids=["later-1.0", "first-2.0", "true"]
+)
+def test_a_page_that_is_no_int_is_unparseable(capsys, synth_store, command, day, page):
+    path = sorted((synth_store / "snapshots").iterdir())[day]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["links"][0]["page"] = page
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--store", str(synth_store))
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: serp-parse:") and len(err.splitlines()) == 1

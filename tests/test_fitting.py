@@ -122,6 +122,11 @@ def test_out_of_range_probabilities_rejected():
         fit_exponential([(0, 1.2), (1, 0.5), (2, 0.3), (3, 0.2)])
     with pytest.raises(ValueError):
         fit_exponential([(-1, 0.5), (0, 0.5), (1, 0.5), (2, 0.5)])
+    with pytest.raises(ValueError):
+        fit_exponential([(0, float("nan")), (1, 0.5), (2, 0.3), (3, 0.2)])
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fit_exponential([(0, 0.9), (1, 0.5), (2, 0.3), (k, 0.2)])
 
 
 def test_eval_model_clamps():

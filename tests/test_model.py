@@ -33,6 +33,12 @@ def _snapshot(results):
     )
 
 
+_LINK_DOC = (
+    '{"query": "q", "vertical": "general", "date": "2024-01-01", "links": [{"uri": "http://a.example/x", '
+    '"canonical_uri": "a.example/x", "title": "t", "page": %s, "rank": %s}]}'
+)
+
+
 class TestValidation:
     def test_page_bounds(self):
         with pytest.raises(ValueError):
@@ -62,11 +68,14 @@ class TestValidation:
             StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (0, 1))
         with pytest.raises(ValueError):
             StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (None, 1))
+        for first in (2.0, True):
+            with pytest.raises(ValueError, match=f"got {first!r}$"):
+                StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (first, 1))
         t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (3, None, 0))
         assert len(t) == 3
 
     def test_timeline_observation_range(self):
-        for bad in (-1, 6, 2.5):  # a state that is not a whole page number is no page
+        for bad in (-1, 6, 2.5, 2.0, True):  # a state that is not an int page is no page
             with pytest.raises(ValueError, match=f"got {bad!r}$"):
                 StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
 
@@ -177,6 +186,12 @@ class TestInterchange:
             '{"query": "q", "vertical": "general", "date": "2024-01-01"}',
             '{"query": "q", "vertical": "nope", "date": "2024-01-01", "links": []}',
             '{"query": "q", "vertical": "general", "date": "01/01/2024", "links": []}',
+            '{"query": 5, "vertical": "general", "date": "2024-01-01", "links": []}',
+            # a page or rank that equals a whole number but is no int
+            _LINK_DOC % ("1.0", "1"),
+            _LINK_DOC % ("2.0", "1"),
+            _LINK_DOC % ("true", "1"),
+            _LINK_DOC % ("1", "1.0"),
         ],
     )
     def test_malformed_documents_raise(self, text):

@@ -94,9 +94,6 @@ def test_grid_bytes_pinned_on_ragged_rows():
     assert _sha256(render_temporal_grid(ragged)) == (
         "bb789e48023b31955281d4c8bb9b24bd1d2d4a95f258fe168e5c0640d5dcacec"
     )
-    assert _sha256(render_temporal_grid(ragged, cell=7)) == (
-        "c51dcd89e93e49e83dab60c228a24bd3cb82830dd07aabb1f051ad717dae9683"
-    )
 
 
 def test_bar_chart_one_bar_per_page():

@@ -127,6 +127,16 @@ def test_open_store_checks_each_snapshot(tmp_path, capsys, stranger, name, error
     assert capsys.readouterr().out == ""
 
 
+def test_a_manifest_topic_that_is_no_string_is_malformed(tmp_path, capsys):
+    root = tmp_path / "col"
+    CollectionStore.create("topic", Vertical.GENERAL, root=root).ingest(snap(1, [("a", 1)]))
+    (root / "collection.json").write_text('{"topic": 5, "vertical": "general"}\n', encoding="utf-8")
+    with pytest.raises(SerpParseError, match="topic must be a string, got 5$"):
+        open_store(root)
+    assert main(["stats", "--store", str(root)]) == 6
+    assert capsys.readouterr().err.startswith("error: serp-parse:")
+
+
 def test_ingest_rejects_other_topic():
     store = CollectionStore.create("topic", Vertical.GENERAL)
     with pytest.raises(StoreMismatchError) as exc:

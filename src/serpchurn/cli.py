@@ -42,7 +42,6 @@ from .fitting import (
 )
 from .metrics import (
     ChurnReport,
-    IntervalSpec,
     compute_rates,
     compute_refind,
     overlap,
@@ -116,6 +115,24 @@ def _parse_date(text: str) -> date:
         return date.fromisoformat(text)
     except ValueError:
         raise ValidationError(f"{text!r} is not a YYYY-MM-DD date") from None
+
+
+_INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}
+
+
+def _interval_days(text: str) -> int:
+    """The lag in days that an interval name (daily, weekly, monthly) or
+    count (7, 7d) stands for."""
+    key = text.strip().lower()
+    if key in _INTERVAL_NAMES:
+        return _INTERVAL_NAMES[key]
+    try:
+        days = int(key.rstrip("d"))
+    except ValueError:
+        raise ValidationError(f"unknown interval {text!r}") from None
+    if days < 1:
+        raise ValidationError(f"interval must be >= 1 day, got {days}")
+    return days
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -213,13 +230,12 @@ def _cmd_timelines(args) -> int:
     return 0
 
 
-def _parse_intervals(text: str) -> list[int]:
-    return [IntervalSpec.from_name(part).days for part in text.split(",") if part]
-
-
 def _cmd_metrics(args) -> int:
     store = _load_store(_store_arg(args.store))
-    report = compute_rates(store, intervals=_parse_intervals(args.intervals))
+    intervals = [_interval_days(part) for part in args.intervals.split(",") if part]
+    if not intervals:
+        raise ValidationError("--intervals names no interval")
+    report = compute_rates(store, intervals)
     _emit(_table(report, args.format, format_rate_table), args.output)
     return 0
 
@@ -280,28 +296,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_REPORT_FORMATS = {
-    "rates-table": ("text", "csv"),
-    "prob-table": ("text", "csv"),
-    "page-chart": ("svg",),
-    "temporal-grid": ("svg",),
-    "fit-curve": ("svg",),
-}
-
-
 def _cmd_report(args) -> int:
-    allowed = _REPORT_FORMATS[args.kind]
-    if args.format not in allowed:
-        raise ValidationError(
-            f"kind {args.kind} supports format(s): {', '.join(allowed)}"
-        )
     store = _load_store(_store_arg(args.store))
-    if args.kind == "rates-table":
-        text = _table(compute_rates(store), args.format, format_rate_table)
-    elif args.kind == "prob-table":
-        text = _table(compute_refind(store), args.format, format_prob_table)
-    elif args.kind == "page-chart":
-        days = IntervalSpec.from_name(args.interval).days
+    if args.kind == "page-chart":
+        days = _interval_days(args.interval)
         cells = compute_rates(store, [days]).replacement
         rates = [(p, cells[days, p].value) for p in range(1, PAGES_MAX + 1) if (days, p) in cells]
         if not rates:
@@ -427,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="render one view of a collection")
-    p.add_argument("--kind", choices=sorted(_REPORT_FORMATS), required=True)
-    p.add_argument("--format", choices=["text", "csv", "svg"], default="text")
+    p.add_argument("--kind", choices=["fit-curve", "page-chart", "temporal-grid"], required=True)
+    p.add_argument("--format", choices=["svg"], default="svg")
     p.add_argument("--interval", default="daily", help="interval for page-chart")
     add_store(p)
     add_output(p)

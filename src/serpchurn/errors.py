@@ -72,7 +72,7 @@ class FitConvergenceError(SerpChurnError):
 
 class ValidationError(SerpChurnError):
     """Invalid input: a flag value, date, interval, fetch plan or kernel (say, not
-    stochastic), or a report CSV or model document read back in."""
+    stochastic)."""
 
 
 class OracleScaleError(SerpChurnError):

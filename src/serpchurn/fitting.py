@@ -16,11 +16,7 @@ from datetime import date
 from operator import mul
 from typing import Sequence
 
-from .errors import (
-    FitConvergenceError,
-    UnderdeterminedFitError,
-    ValidationError,
-)
+from .errors import FitConvergenceError, UnderdeterminedFitError
 from .model import RefindabilityModel, StoryTimeline, Vertical
 from .metrics import refind_cells
 
@@ -165,12 +161,6 @@ def refind_points(timelines: Sequence[StoryTimeline], max_k: int) -> list[tuple[
     return [(k, cell.value) for k, cell in prob.items() if k <= max_k]
 
 
-def fit_from_timelines(
-    timelines: Sequence[StoryTimeline], max_k: int
-) -> RefindabilityModel:
-    return fit_exponential(refind_points(timelines, max_k))
-
-
 def eval_model(model: RefindabilityModel, k: float) -> float:
     """The modelled probability at day k, pinned to [0, 1]."""
     p = model.a + model.b * math.exp(-model.c * k)
@@ -204,19 +194,3 @@ def model_doc(
         "fitted_at": fitted_at.isoformat(),
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def model_from_doc(text: str) -> tuple[RefindabilityModel, Vertical]:
-    try:
-        doc = json.loads(text)
-        model = RefindabilityModel(
-            a=doc["a"],
-            b=doc["b"],
-            c=doc["c"],
-            sse=doc["sse"],
-            degenerate=doc.get("degenerate", False),
-            clamped=doc.get("clamped", False),
-        )
-        return model, Vertical.from_wire(doc["vertical"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"model document is malformed: {e}") from None

@@ -61,51 +61,7 @@ class RateKind(Enum):
     NEW_STORY = "new_story_rate"
 
 
-_INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}
-
-
-@dataclass(frozen=True)
-class IntervalSpec:
-    """A comparison lag in days; monthly is fixed at 30."""
-
-    days: int
-    name: str
-
-    def __post_init__(self):
-        if self.days < 1:
-            raise ValidationError(f"interval must be >= 1 day, got {self.days}")
-
-    @classmethod
-    def daily(cls) -> "IntervalSpec":
-        return cls(1, "daily")
-
-    @classmethod
-    def weekly(cls) -> "IntervalSpec":
-        return cls(7, "weekly")
-
-    @classmethod
-    def monthly(cls) -> "IntervalSpec":
-        return cls(30, "monthly")
-
-    @classmethod
-    def from_days(cls, days: int) -> "IntervalSpec":
-        for name, d in _INTERVAL_NAMES.items():
-            if d == days:
-                return cls(d, name)
-        return cls(days, f"{days}d")
-
-    @classmethod
-    def from_name(cls, name: str) -> "IntervalSpec":
-        key = name.strip().lower()
-        if key in _INTERVAL_NAMES:
-            return cls(_INTERVAL_NAMES[key], key)
-        try:
-            return cls.from_days(int(key.rstrip("d")))
-        except ValueError:
-            raise ValidationError(f"unknown interval {name!r}") from None
-
-
-def uri_sets_by_day(
+def _uri_sets_by_day(
     store: CollectionStore, page: int | None = None
 ) -> dict[date, frozenset[str]]:
     return {
@@ -119,6 +75,8 @@ def _interval_mean(
     """avg_interval_rate over prebuilt day sets, or None when no anchor pair
     is usable. The numerators are summed per size of the defining set: one
     exact Fraction per distinct size, not per pair."""
+    if days < 1:
+        raise ValidationError(f"interval must be >= 1 day, got {days}")
     lag = timedelta(days=days)
     by_size: dict[int, int] = {}
     n = 0
@@ -137,21 +95,21 @@ def _interval_mean(
 
 def avg_interval_rate(
     store: CollectionStore,
-    interval: IntervalSpec,
+    days: int,
     kind: RateKind,
     page: int | None = None,
 ) -> tuple[Fraction, int]:
     """Mean day-pair rate over every anchor with both endpoints scraped.
 
-    Anchors slide over all dates d where d and d + interval both have
+    Anchors slide over all dates d where d and d + days both have
     snapshots. Pairs whose defining set is empty (no links that day, or
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    mean = _interval_mean(uri_sets_by_day(store, page), interval.days, kind)
+    mean = _interval_mean(_uri_sets_by_day(store, page), days, kind)
     if mean is None:
         raise InsufficientDataError(
-            f"no usable {interval.name} anchor pairs"
+            f"no usable {days}-day anchor pairs"
             + (f" on page {page}" if page else "")
         )
     return mean
@@ -162,6 +120,10 @@ def avg_interval_rate(
 
 def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[list[int]]]:
     """Refind rows and transition counts: the one counter behind both.
+
+    Row k of the refind rows counts the timelines in each state 0-5 exactly
+    k days after first seen; unscraped days count nowhere, so a row's sum
+    is the number of stories eligible at k.
 
     Each timeline gives its length n, its page by day offset for the days
     it sat on a page, and its unscraped offsets. Every other offset below
@@ -196,20 +158,10 @@ def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[li
     return rows, pairs
 
 
-def refind_counts(timelines: Sequence[StoryTimeline]) -> list[list[int]]:
-    """Row k counts the timelines in each state 0-5 exactly k days after
-    first seen.
-
-    Unscraped days count nowhere, so a row's sum is the number of stories
-    eligible at k. Every refind probability is a ratio of one row's cells.
-    """
-    return _tally(timelines)[0]
-
-
 def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
     if k < 0:
         raise ValueError(f"day offset must be >= 0, got {k}")
-    rows = refind_counts(timelines)
+    rows = _tally(timelines)[0]
     if k >= len(rows) or sum(rows[k]) == 0:
         raise InsufficientDataError(f"no timeline observed at day {k}")
     return rows[k]
@@ -229,8 +181,8 @@ def prob_seen(timelines: Sequence[StoryTimeline], k: int) -> Fraction:
     """P(a story is back in pages 1-5 exactly k days after first seen).
 
     A story counts toward the denominator only if its timeline reaches
-    day k and day k was actually scraped. Each call counts the whole
-    refind_counts table; refind_cells reads every offset from one count.
+    day k and day k was actually scraped. Each call counts every offset;
+    refind_cells reads them all from one count.
     """
     return _seen(_row_at(timelines, k))
 
@@ -386,17 +338,17 @@ def compute_rates(
     cells stay empty. A cell with no usable anchor pair is left out."""
     replacement: dict[tuple[int, int | None], ReportCell] = {}
     new_story: dict[tuple[int, int | None], ReportCell] = {}
-    sets_by_page = {page: uri_sets_by_day(store, page) for page in [None, *range(1, PAGES_MAX + 1)]}
-    for spec in [IntervalSpec.from_days(d) for d in intervals]:
+    sets_by_page = {page: _uri_sets_by_day(store, page) for page in [None, *range(1, PAGES_MAX + 1)]}
+    for days in intervals:
         for kind, sink in (
             (RateKind.REPLACEMENT, replacement),
             (RateKind.NEW_STORY, new_story),
         ):
             for page, sets in sets_by_page.items():
-                found = _interval_mean(sets, spec.days, kind)
+                found = _interval_mean(sets, days, kind)
                 if found is not None:
                     mean, n = found
-                    sink[(spec.days, page)] = ReportCell(float(mean), n)
+                    sink[(days, page)] = ReportCell(float(mean), n)
     return ChurnReport(store.topic, store.vertical, replacement, new_story, {}, {})
 
 
@@ -414,7 +366,7 @@ def refind_cells(
         _check_page(m)
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
-    for k, row in enumerate(refind_counts(timelines)):
+    for k, row in enumerate(_tally(timelines)[0]):
         n = sum(row)
         if n == 0:
             continue
@@ -476,50 +428,3 @@ def report_to_csv(report: ChurnReport) -> str:
         cell = report.prob_seen_page[(k, m)]
         w.writerow(["prob_seen", v, k, m, repr(cell.value), cell.n])
     return buf.getvalue()
-
-
-def parse_report_csv(text: str, topic: str = "") -> ChurnReport:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_COLUMNS:
-        raise ValidationError(f"CSV header must be {','.join(CSV_COLUMNS)}")
-    vertical: Vertical | None = None
-    replacement: dict[tuple[int, int | None], ReportCell] = {}
-    new_story: dict[tuple[int, int | None], ReportCell] = {}
-    prob: dict[int, ReportCell] = {}
-    prob_page: dict[tuple[int, int], ReportCell] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ValidationError(f"bad CSV row: {row!r}")
-        metric, vert, interval, page, value, n = row
-        this_vertical = Vertical.from_wire(vert)
-        if vertical is None:
-            vertical = this_vertical
-        elif this_vertical is not vertical:
-            raise ValidationError("CSV mixes verticals")
-        cell = ReportCell(float(value), int(n))
-        key_days = int(interval)
-        key_page = int(page) if page else None
-        if metric == "replacement_rate":
-            replacement[(key_days, key_page)] = cell
-        elif metric == "new_story_rate":
-            new_story[(key_days, key_page)] = cell
-        elif metric == "prob_seen":
-            if key_page is None:
-                prob[key_days] = cell
-            else:
-                prob_page[(key_days, key_page)] = cell
-        else:
-            raise ValidationError(f"unknown metric {metric!r}")
-    if vertical is None:
-        raise ValidationError("CSV holds no data rows")
-    return ChurnReport(
-        topic=topic,
-        vertical=vertical,
-        replacement=replacement,
-        new_story=new_story,
-        prob_seen=prob,
-        prob_seen_page=prob_page,
-    )

@@ -84,6 +84,13 @@ class SerpResult:
     rank: int  # 1-based position across all pages of the snapshot
 
     def __post_init__(self):
+        if not (
+            isinstance(self.uri, str)
+            and isinstance(self.canonical_uri, str)
+            and isinstance(self.title, str)
+        ):
+            name = next(n for n in ("uri", "canonical_uri", "title") if not isinstance(getattr(self, n), str))
+            raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if type(self.page) is not int or type(self.rank) is not int:  # not 2.0, nor True
             raise ValueError(f"page and rank must be ints, got {self.page!r} and {self.rank!r}")
         if not 1 <= self.page <= PAGES_MAX:

@@ -177,12 +177,6 @@ class CollectionStore:
             _write_manifest(self.root, self.topic, self.vertical, days)
         self.snapshots.update((snapshot.date, snapshot) for snapshot in snapshots)
 
-    def export_snapshot(self, day: date) -> bytes:
-        snap = self.snapshots.get(day)
-        if snap is None:
-            raise StoreMissingError(f"no snapshot for {day.isoformat()}")
-        return snapshot_to_json(snap).encode("utf-8")
-
     # -- queries ------------------------------------------------------
 
     def sorted_snapshots(self) -> list[SerpSnapshot]:

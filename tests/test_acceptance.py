@@ -19,7 +19,6 @@ import serpchurn
 from serpchurn.errors import RateLimited
 from serpchurn.fitting import eval_model, fit_exponential
 from serpchurn.metrics import (
-    IntervalSpec,
     RateKind,
     avg_interval_rate,
     compute_report,
@@ -114,7 +113,7 @@ def test_c3_known_dynamics_recovered():
         SynthParams(days=250, pages=5, per_page=10, replacement_rate=0.3, seed=20170907)
     )
     assert 50 * 250 >= 10_000  # slot-days observed
-    mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+    mean, n = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
     assert n == 249
     assert abs(float(mean) - 0.3) <= 0.02
 

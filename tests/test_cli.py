@@ -9,7 +9,9 @@ import pytest
 
 import serpchurn
 from serpchurn.cli import main
+from serpchurn.errors import SerpParseError
 from serpchurn.model import StoryTimeline
+from serpchurn.store import open_store
 
 
 def run(capsys, *argv):
@@ -254,15 +256,6 @@ def test_prob_table(capsys, synth_store):
     )
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
-@pytest.mark.parametrize("command, kind", [("metrics", "rates-table"), ("prob", "prob-table")])
-def test_a_report_table_is_its_command_output(capsys, synth_store, command, kind, fmt):
-    store = ("--store", str(synth_store))
-    code, table, _ = run(capsys, command, "--format", fmt, *store)
-    assert code == 0 and table
-    assert run(capsys, "report", "--kind", kind, "--format", fmt, *store) == (0, table, "")
-
-
 def test_fit_curve_draws_the_fitted_points(capsys, synth_store):
     store = ("--store", str(synth_store))
     code, doc, _ = run(capsys, "fit", *store)
@@ -290,23 +283,36 @@ def test_report_svg_kinds(capsys, synth_store):
 
 
 def test_report_tables(capsys, harvey_store):
-    code, out, _ = run(
-        capsys, "report", "--kind", "rates-table", "--store", str(harvey_store)
-    )
+    code, out, _ = run(capsys, "metrics", "--store", str(harvey_store))
     assert code == 0
     assert "replacement_rate" in out
-    code, out, _ = run(
-        capsys,
-        "report",
-        "--kind",
-        "prob-table",
-        "--format",
-        "csv",
-        "--store",
-        str(harvey_store),
-    )
+    code, out, _ = run(capsys, "prob", "--format", "csv", "--store", str(harvey_store))
     assert code == 0
     assert out.startswith("metric,vertical,interval,page,value,n")
+
+
+@pytest.mark.parametrize("kind", ["rates-table", "prob-table"])
+def test_a_table_is_no_report_kind(capsys, synth_store, kind):
+    code, out, err = run(capsys, "report", "--kind", kind, "--store", str(synth_store))
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
+def test_report_draws_svg_by_default(capsys, synth_store):
+    store = ("--store", str(synth_store))
+    code, svg, _ = run(capsys, "report", "--kind", "temporal-grid", "--format", "svg", *store)
+    assert code == 0 and svg.startswith("<svg")
+    assert run(capsys, "report", "--kind", "temporal-grid", *store) == (0, svg, "")
+
+
+@pytest.mark.parametrize("intervals", [",", ""], ids=["comma", "empty"])
+def test_an_empty_interval_list_is_a_usage_error(capsys, synth_store, intervals):
+    capsys.readouterr()
+    code, out, err = run(capsys, "metrics", "--intervals", intervals, "--store", str(synth_store))
+    assert code == 2
+    assert out == ""
+    assert err == "error: validation: --intervals names no interval\n"
 
 
 def test_report_to_file(tmp_path, capsys, synth_store):
@@ -540,6 +546,24 @@ def test_a_page_that_is_no_int_is_unparseable(capsys, synth_store, command, day,
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     code, out, err = run(capsys, command, "--store", str(synth_store))
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: serp-parse:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field", ["uri", "canonical_uri", "title"])
+def test_a_link_field_that_is_no_string_is_unparseable(capsys, tmp_path, field):
+    root = tmp_path / "col"
+    argv = ["synth", "--days", "10", "--rate", "0.3", "--seed", "42", "--store", str(root)]
+    assert main(argv) == 0
+    path = sorted((root / "snapshots").iterdir())[3]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["links"][2][field] = 5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SerpParseError, match=f"{field} must be a string, got 5$"):
+        open_store(root)
+    capsys.readouterr()
+    code, out, err = run(capsys, "timelines", "--store", str(root))
     assert code == 6
     assert out == ""
     assert err.startswith("error: serp-parse:") and len(err.splitlines()) == 1

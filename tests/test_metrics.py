@@ -1,24 +1,25 @@
+import csv
+import io
 from datetime import date, timedelta
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serpchurn.errors import InsufficientDataError, UndefinedRateError
+from serpchurn.cli import _interval_days
+from serpchurn.errors import InsufficientDataError, UndefinedRateError, ValidationError
 from serpchurn.metrics import (
-    IntervalSpec,
     RateKind,
+    _tally,
     avg_interval_rate,
     compute_refind,
     compute_report,
     new_story_rate,
     overlap,
-    parse_report_csv,
     prob_seen,
     prob_seen_on_page,
     recall,
     refind_cells,
-    refind_counts,
     replacement_rate,
     report_to_csv,
     temporal_matrix,
@@ -103,7 +104,7 @@ class TestIntervalAveraging:
             snap(2, [("b", 1), ("c", 1)]),
             snap(3, [("c", 1), ("d", 1)]),
         )
-        mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+        mean, n = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
         assert (mean, n) == (Fraction(1, 2), 2)
 
     def test_anchor_skipped_when_endpoint_missing(self):
@@ -112,7 +113,7 @@ class TestIntervalAveraging:
             snap(2, [("a", 1)]),
             snap(4, [("b", 1)]),
         )
-        mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+        mean, n = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
         assert (mean, n) == (Fraction(0), 1)
 
     def test_weekly_lag(self):
@@ -120,15 +121,15 @@ class TestIntervalAveraging:
             snap(1, [("a", 1), ("b", 1)]),
             snap(8, [("a", 1), ("c", 1)]),
         )
-        mean, n = avg_interval_rate(store, IntervalSpec.weekly(), RateKind.NEW_STORY)
+        mean, n = avg_interval_rate(store, 7, RateKind.NEW_STORY)
         assert (mean, n) == (Fraction(1, 2), 1)
         with pytest.raises(InsufficientDataError):
-            avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+            avg_interval_rate(store, 1, RateKind.REPLACEMENT)
 
     def test_monthly_is_thirty_days(self):
-        assert IntervalSpec.monthly().days == 30
+        assert _interval_days("monthly") == 30
         store = store_of(snap(1, [("a", 1)]), snap(31, [("b", 1)]))
-        mean, n = avg_interval_rate(store, IntervalSpec.monthly(), RateKind.REPLACEMENT)
+        mean, n = avg_interval_rate(store, 30, RateKind.REPLACEMENT)
         assert (mean, n) == (Fraction(1), 1)
 
     def test_empty_set_anchor_skipped_not_zero(self):
@@ -137,9 +138,9 @@ class TestIntervalAveraging:
             snap(2, [("a", 1)]),
             snap(3, [("a", 1), ("b", 1)]),
         )
-        mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+        mean, n = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
         assert (mean, n) == (Fraction(0), 1)  # only the 2->3 anchor counts
-        mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.NEW_STORY)
+        mean, n = avg_interval_rate(store, 1, RateKind.NEW_STORY)
         assert (mean, n) == (Fraction(3, 4), 2)  # 1/1 then 1/2
 
     def test_page_level_uses_same_page_sets(self):
@@ -148,23 +149,31 @@ class TestIntervalAveraging:
             snap(2, [("a", 2), ("c", 1)]),
         )
         mean, _ = avg_interval_rate(
-            store, IntervalSpec.daily(), RateKind.REPLACEMENT, page=1
+            store, 1, RateKind.REPLACEMENT, page=1
         )
         assert mean == Fraction(1)  # "a" left page 1 even though it survived overall
-        mean, _ = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+        mean, _ = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
         assert mean == Fraction(1, 2)
 
     def test_page_without_data_raises(self):
         store = store_of(snap(1, [("a", 1)]), snap(2, [("a", 1)]))
         with pytest.raises(InsufficientDataError):
-            avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT, page=4)
+            avg_interval_rate(store, 1, RateKind.REPLACEMENT, page=4)
 
     def test_interval_names(self):
-        assert IntervalSpec.from_name("daily").days == 1
-        assert IntervalSpec.from_name("weekly").days == 7
-        assert IntervalSpec.from_name("monthly").days == 30
-        assert IntervalSpec.from_name("14").days == 14
-        assert IntervalSpec.from_name("14d").days == 14
+        assert _interval_days("daily") == 1
+        assert _interval_days("weekly") == 7
+        assert _interval_days("monthly") == 30
+        assert _interval_days("14") == 14
+        assert _interval_days("14d") == 14
+        with pytest.raises(ValidationError, match="unknown interval 'monthl'"):
+            _interval_days("monthl")
+        store = store_of(snap(1, [("a", 1)]), snap(2, [("a", 1)]))
+        for bad in (0, -7):
+            with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
+                _interval_days(f"{bad}d")
+            with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
+                avg_interval_rate(store, bad, RateKind.REPLACEMENT)
 
 
 WORKED_TRIO = (
@@ -288,7 +297,7 @@ def test_a_row_survives_the_sparse_form(row):
 @settings(max_examples=300)
 @given(long_timelines)
 def test_sparse_counter_matches_dense_loops(tls):
-    assert refind_counts(tls) == dense_refind_counts(tls)
+    assert _tally(tls)[0] == dense_refind_counts(tls)
     want = dense_transition_counts(tls)
     try:
         est = transition_matrix(tls)
@@ -391,7 +400,7 @@ class TestStorePath:
             for t in built
         )
         assert rebuilt == built
-        assert refind_counts(rebuilt) == refind_counts(built)
+        assert _tally(rebuilt)[0] == _tally(built)[0]
         assert dense_transition_counts(rebuilt) == dense_transition_counts(built)
         try:
             est = transition_matrix(built)
@@ -473,9 +482,20 @@ class TestReport:
 
     def test_csv_round_trip(self, harvey_snapshots):
         report = self.fixture_report(harvey_snapshots)
-        text = report_to_csv(report)
-        again = parse_report_csv(text, topic=report.topic)
-        assert again == report
+        rows = list(csv.reader(io.StringIO(report_to_csv(report))))[1:]
+        cells = {
+            "replacement_rate": report.replacement,
+            "new_story_rate": report.new_story,
+            "prob_seen": {
+                **{(k, None): c for k, c in report.prob_seen.items()},
+                **report.prob_seen_page,
+            },
+        }
+        assert len(rows) == sum(map(len, cells.values()))
+        for metric, vertical, interval, page, value, n in rows:
+            assert vertical == report.vertical.value
+            cell = cells[metric][(int(interval), int(page) if page else None)]
+            assert float(value) == cell.value and int(n) == cell.n
 
     def test_csv_header_and_shape(self, harvey_snapshots):
         report = self.fixture_report(harvey_snapshots)

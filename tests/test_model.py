@@ -192,6 +192,10 @@ class TestInterchange:
             _LINK_DOC % ("2.0", "1"),
             _LINK_DOC % ("true", "1"),
             _LINK_DOC % ("1", "1.0"),
+            # a uri, canonical_uri or title that is no string
+            _LINK_DOC.replace('"http://a.example/x"', "5") % ("1", "1"),
+            _LINK_DOC.replace('"a.example/x"', "5") % ("1", "1"),
+            _LINK_DOC.replace('"t"', "null") % ("1", "1"),
         ],
     )
     def test_malformed_documents_raise(self, text):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from serpchurn.errors import OracleScaleError, ValidationError
 from serpchurn.fitting import refind_points
 from serpchurn.metrics import (
-    IntervalSpec,
     RateKind,
     avg_interval_rate,
     compute_report,
@@ -57,7 +56,7 @@ def test_zero_rate_freezes_the_pages():
 def test_full_rate_replaces_everything_daily():
     p = SynthParams(days=5, pages=1, per_page=4, replacement_rate=1.0, seed=8)
     store = generate(p)
-    mean, n = avg_interval_rate(store, IntervalSpec.daily(), RateKind.REPLACEMENT)
+    mean, n = avg_interval_rate(store, 1, RateKind.REPLACEMENT)
     assert (mean, n) == (Fraction(1), 4)
 
 

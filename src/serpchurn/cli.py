@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from datetime import date
@@ -122,14 +123,14 @@ _INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}
 
 def _interval_days(text: str) -> int:
     """The lag in days that an interval name (daily, weekly, monthly) or
-    count (7, 7d) stands for."""
+    count (7, 7d) stands for. A count is ASCII digits only, as int() would
+    also take ``+7``, ``1_0`` and other scripts' digits."""
     key = text.strip().lower()
     if key in _INTERVAL_NAMES:
         return _INTERVAL_NAMES[key]
-    try:
-        days = int(key.rstrip("d"))
-    except ValueError:
-        raise ValidationError(f"unknown interval {text!r}") from None
+    if not re.fullmatch(r"-?[0-9]+d?", key):
+        raise ValidationError(f"unknown interval {text!r}")
+    days = int(key.removesuffix("d"))
     if days < 1:
         raise ValidationError(f"interval must be >= 1 day, got {days}")
     return days

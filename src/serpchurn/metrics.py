@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
 from .model import N_STATES, PAGES_MAX, StoryTimeline, Vertical
@@ -260,20 +260,20 @@ def transition_matrix(timelines: Sequence[StoryTimeline]) -> TransitionEstimate:
 
 @dataclass(frozen=True)
 class TemporalMatrix:
-    """Story-by-day grid of page states for the whole collection span.
+    """The story-by-day grid of page states over the whole collection span.
 
-    Rows are stories ordered by first appearance; cells hold 0-5 or
-    None where that day was never scraped. Days before a story's first
-    appearance read as 0 (it was not in the pages yet).
+    ``timelines`` are the grid's rows, ordered by first appearance, each
+    inside the ``days`` days from ``start``; ``gaps`` are the span's days
+    with no snapshot. No cell is stored: a row is spelled out only while
+    it is drawn. Days before a story's first appearance read as 0 (it was
+    not in the pages yet), or None on a gap day; the story's own
+    observations follow, and None fills the span after its timeline ends.
     """
 
     start: date
-    uris: tuple[str, ...]
-    cells: tuple[tuple[int | None, ...], ...]
-
-    @property
-    def days(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
+    days: int
+    gaps: frozenset[date]
+    timelines: tuple[StoryTimeline, ...]
 
 
 def temporal_matrix(
@@ -285,22 +285,14 @@ def temporal_matrix(
 ) -> TemporalMatrix:
     if days < 1:
         raise ValidationError(f"span must be >= 1 day, got {days}")
-    ordered = sorted(timelines, key=lambda t: (t.first_seen, t.canonical_uri))
-    template = tuple(None if start + timedelta(days=i) in gaps else 0 for i in range(days))
-    rows = []
+    ordered = tuple(sorted(timelines, key=lambda t: (t.first_seen, t.canonical_uri)))
     for t in ordered:
         offset = (t.first_seen - start).days
-        end = offset + len(t)
-        if offset < 0 or end > days:
+        if offset < 0 or offset + len(t) > days:
             raise ValidationError(
                 f"timeline for {t.canonical_uri} falls outside the span"
             )
-        rows.append(template[:offset] + t.observations + (None,) * (days - end))
-    return TemporalMatrix(
-        start=start,
-        uris=tuple(t.canonical_uri for t in ordered),
-        cells=tuple(rows),
-    )
+    return TemporalMatrix(start, days, gaps, ordered)
 
 
 # -- the aggregate report ----------------------------------------------
@@ -326,6 +318,17 @@ class ChurnReport:
     new_story: dict[tuple[int, int | None], ReportCell]
     prob_seen: dict[int, ReportCell]
     prob_seen_page: dict[tuple[int, int], ReportCell]
+
+
+def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, ReportCell]]:
+    """Each rate cell as (metric, days, page, cell): replacement first, then
+    new-story, each by interval and then page, the all-pages figure first."""
+    for metric, cells in (
+        ("replacement_rate", report.replacement),
+        ("new_story_rate", report.new_story),
+    ):
+        for days, page in sorted(cells, key=lambda key: (key[0], key[1] or 0)):
+            yield metric, days, page, cells[days, page]
 
 
 DEFAULT_INTERVALS = (1, 7, 30)
@@ -410,17 +413,8 @@ def report_to_csv(report: ChurnReport) -> str:
     w.writerow(CSV_COLUMNS)
     v = report.vertical.value
 
-    def rate_rows(metric: str, cells: dict[tuple[int, int | None], ReportCell]):
-        for (days, page) in sorted(
-            cells, key=lambda key: (key[0], key[1] if key[1] is not None else 0)
-        ):
-            cell = cells[(days, page)]
-            w.writerow(
-                [metric, v, days, "" if page is None else page, repr(cell.value), cell.n]
-            )
-
-    rate_rows("replacement_rate", report.replacement)
-    rate_rows("new_story_rate", report.new_story)
+    for metric, days, page, cell in rate_rows(report):
+        w.writerow([metric, v, days, "" if page is None else page, repr(cell.value), cell.n])
     for k in sorted(report.prob_seen):
         cell = report.prob_seen[k]
         w.writerow(["prob_seen", v, k, "", repr(cell.value), cell.n])

@@ -7,11 +7,12 @@ no scripts and no external assets.
 
 from __future__ import annotations
 
+from datetime import timedelta
 from fractions import Fraction
 from typing import Sequence
 
 from .fitting import eval_model
-from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate
+from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, rate_rows
 from .model import PAGES_MAX, RefindabilityModel, StoryTimeline
 
 # Fill colors for page states 1-5 on the temporal grid and bar charts.
@@ -37,12 +38,12 @@ def render_temporal_grid(matrix: TemporalMatrix) -> str:
 
     Page states use the page palette, state 0 is white, and days with no
     snapshot are hatched via a line pattern (keeping the rect count equal
-    to rows x columns).
+    to rows x columns). Each row is spelled out and drawn one story at a
+    time, so only the SVG's text is held, never the grid's cells.
     """
     cell = 12
-    rows = len(matrix.cells)
-    cols = matrix.days
-    width = cols * cell
+    rows = len(matrix.timelines)
+    width = matrix.days * cell if rows else 0
     height = rows * cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -54,18 +55,22 @@ def render_temporal_grid(matrix: TemporalMatrix) -> str:
         "</defs>",
     ]
     # each rect is a column's head, the row's y, and the state's tail
-    heads = [
-        f'<rect x="{ci * cell}" y="' for ci in range(max(map(len, matrix.cells), default=0))
-    ]
+    heads = [f'<rect x="{ci * cell}" y="' for ci in range(matrix.days)]
     tails = {
         state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
         for state, fill in {None: "url(#gap)", 0: ABSENT_COLOR, **PAGE_COLORS}.items()
     }
-    for ri, row in enumerate(matrix.cells):
+    lead = tuple(
+        None if matrix.start + timedelta(days=i) in matrix.gaps else 0
+        for i in range(matrix.days)
+    )
+    for ri, t in enumerate(matrix.timelines):
+        offset = (t.first_seen - matrix.start).days
+        row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - len(t))
         y = str(ri * cell)
-        parts.extend([head + y + tails[state] for head, state in zip(heads, row)])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append("\n".join([head + y + tails[state] for head, state in zip(heads, row)]))
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def render_page_rate_bars(rates: Sequence[tuple[int, float]]) -> str:
@@ -145,18 +150,9 @@ def render_fit_curve(
 def format_rate_table(report: ChurnReport) -> str:
     """Replacement and new-story means by interval and page."""
     lines = [f"{'metric':<18} {'interval':>8} {'page':>4} {'mean':>8} {'n':>6}"]
-    for name, cells in (
-        ("replacement_rate", report.replacement),
-        ("new_story_rate", report.new_story),
-    ):
-        for (days, page) in sorted(
-            cells, key=lambda key: (key[0], key[1] if key[1] is not None else 0)
-        ):
-            c = cells[(days, page)]
-            page_s = "all" if page is None else str(page)
-            lines.append(
-                f"{name:<18} {days:>7}d {page_s:>4} {c.value:>8.4f} {c.n:>6}"
-            )
+    for name, days, page, c in rate_rows(report):
+        page_s = "all" if page is None else str(page)
+        lines.append(f"{name:<18} {days:>7}d {page_s:>4} {c.value:>8.4f} {c.n:>6}")
     return "\n".join(lines) + "\n"
 
 

@@ -315,6 +315,24 @@ def test_an_empty_interval_list_is_a_usage_error(capsys, synth_store, intervals)
     assert err == "error: validation: --intervals names no interval\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["metrics", "--intervals"], ["report", "--kind", "page-chart", "--interval"]],
+    ids=["metrics", "page-chart"],
+)
+def test_an_interval_count_is_ascii_digits(capsys, synth_store, command):
+    capsys.readouterr()
+    store = ("--store", str(synth_store))
+    weekly = run(capsys, *command, "weekly", *store)
+    assert weekly[0] == 0
+    for same in ("7", "7d", "7D", " 7 ", " Weekly"):
+        assert run(capsys, *command, same, *store) == weekly
+    for bad in ("7ddd", "+7", "\u0667d", "\u0663", "1_0"):
+        assert run(capsys, *command, bad, *store) == (
+            2, "", f"error: validation: unknown interval {bad!r}\n"
+        )
+
+
 def test_report_to_file(tmp_path, capsys, synth_store):
     out_file = tmp_path / "grid.svg"
     code, out, _ = run(

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from serpchurn.metrics import (
 )
 from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links
 from serpchurn.oracle import oracle_report, oracle_transition_counts
+from serpchurn.render import ABSENT_COLOR, PAGE_COLORS, render_temporal_grid
 from serpchurn.store import CollectionStore
 from serpchurn.synth import SynthParams, generate
 
@@ -168,6 +170,9 @@ class TestIntervalAveraging:
         assert _interval_days("14d") == 14
         with pytest.raises(ValidationError, match="unknown interval 'monthl'"):
             _interval_days("monthl")
+        for bad in ("7ddd", "+7", "\u0667d", "\u0663", "1_0"):  # ٧d and ٣: Arabic-Indic digits
+            with pytest.raises(ValidationError, match=re.escape(f"unknown interval '{bad}'") + "$"):
+                _interval_days(bad)
         store = store_of(snap(1, [("a", 1)]), snap(2, [("a", 1)]))
         for bad in (0, -7):
             with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
@@ -355,6 +360,15 @@ class TestTransitions:
                 assert sum(row) == 1
 
 
+def grid_states(matrix):
+    """Each row's states, read back from the rects' fills in the drawn grid."""
+    state_of = {"url(#gap)": None, ABSENT_COLOR: 0, **{c: p for p, c in PAGE_COLORS.items()}}
+    rows = {}
+    for y, fill in re.findall(r'<rect x="\d+" y="(\d+)" [^>]* fill="([^"]+)"', render_temporal_grid(matrix)):
+        rows.setdefault(int(y), []).append(state_of[fill])
+    return tuple(tuple(rows[y]) for y in sorted(rows))
+
+
 class TestTemporalMatrix:
     def test_rows_cover_whole_span(self):
         tls = (
@@ -362,18 +376,18 @@ class TestTemporalMatrix:
             tl(1, uri="b.example/s", first=D(2)),
         )
         m = temporal_matrix(tls, start=D(1), days=2)
-        assert m.uris == ("a.example/s", "b.example/s")
-        assert m.cells == ((2, 0), (0, 1))
+        assert [t.canonical_uri for t in m.timelines] == ["a.example/s", "b.example/s"]
+        assert grid_states(m) == ((2, 0), (0, 1))
 
     def test_gap_days_render_as_missing(self):
         tls = (tl(1, uri="b.example/s", first=D(3)),)
         m = temporal_matrix(tls, start=D(1), days=3, gaps=frozenset({D(2)}))
-        assert m.cells == ((0, None, 1),)
+        assert grid_states(m) == ((0, None, 1),)
 
     def test_missing_observations_pass_through(self):
         tls = (tl(1, None, 0, first=D(1)),)
         m = temporal_matrix(tls, start=D(1), days=3)
-        assert m.cells == ((1, None, 0),)
+        assert grid_states(m) == ((1, None, 0),)
 
 
 class TestStorePath:

@@ -1,10 +1,10 @@
 import hashlib
+import tracemalloc
 from datetime import date
 from fractions import Fraction
 
 from serpchurn.fitting import fit_exponential
 from serpchurn.metrics import (
-    TemporalMatrix,
     compute_report,
     temporal_matrix,
     transition_matrix,
@@ -68,8 +68,9 @@ def test_grid_deterministic():
 
 
 def test_empty_grid():
-    svg = render_temporal_grid(TemporalMatrix(start=D(1), uris=(), cells=()))
+    svg = render_temporal_grid(temporal_matrix((), start=D(1), days=3))
     assert svg.count("<rect") == 0
+    assert _sha256(svg) == "3e91d78ccfcbb660e96bb2cf5df6030fc2e700561e1a54b7698ea40ffebca062"
 
 
 def _sha256(text):
@@ -87,13 +88,38 @@ def test_grid_bytes_pinned_on_the_readme_store():
     )
 
 
-def test_grid_bytes_pinned_on_ragged_rows():
-    ragged = TemporalMatrix(
-        start=D(1), uris=("a", "b", "c", "d"), cells=((1, None), (0, 2, 3, None, 5), (), (4,))
+def test_grid_bytes_pinned_on_padded_rows():
+    """A story first seen after a gap day, an unscraped offset inside a
+    timeline, and timelines that end before the span does."""
+    tls = (
+        StoryTimeline.from_observations("a.example/s", D(1), (1, 0, None, 5, 0, 2)),
+        StoryTimeline.from_observations("b.example/s", D(4), (3, 4, 0)),
+        StoryTimeline.from_observations("c.example/s", D(2), (4, None, 1)),
     )
-    assert _sha256(render_temporal_grid(ragged)) == (
-        "bb789e48023b31955281d4c8bb9b24bd1d2d4a95f258fe168e5c0640d5dcacec"
+    svg = render_temporal_grid(temporal_matrix(tls, start=D(1), days=6, gaps={D(3)}))
+    assert svg.count("<rect") == 18
+    assert svg.count('fill="url(#gap)"') == 5
+    assert _sha256(svg) == (
+        "499252afafd8763ee3b823182505138f16fc77f28966a8752ad39b0867f78959"
     )
+
+
+def test_grid_holds_one_row_at_a_time():
+    """Drawing the grid holds about the SVG's text and its joined copy, not
+    a stories x days matrix of cells or a string per rect beside it."""
+    store = generate(SynthParams(days=30, replacement_rate=0.35, seed=5))
+    m = store.manifest
+    timelines = store.build_timelines()
+    tracemalloc.start()
+    try:
+        svg = render_temporal_grid(
+            temporal_matrix(timelines, start=m.start_date, days=len(m.calendar), gaps=m.gaps)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count("<rect") == len(timelines) * 30
+    assert peak <= 2.5 * len(svg)
 
 
 def test_bar_chart_one_bar_per_page():

@@ -8,7 +8,7 @@ documents over stdin/stdout instead (one compact JSON doc per line).
 
 Exit codes: 0 success, 1 transport, I/O or internal failure, 2 usage
 or validation error, 3 missing store or fixture, 4 not enough data,
-5 rate limited, 6 unparseable input.
+5 rate limited, 6 unparseable input; each error class carries its own.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ import sys
 import traceback
 from datetime import date
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
-    FixtureNotFound,
     InsufficientDataError,
-    RateLimited,
     SerpChurnError,
-    SerpParseError,
     StoreMismatchError,
     StoreMissingError,
-    TransportError,
-    UriParseError,
     ValidationError,
 )
 from .fitting import (
@@ -51,7 +46,7 @@ from .metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from .model import PAGES_MAX, RefindabilityModel, SerpSnapshot, Vertical, snapshot_from_json
+from .model import PAGES_MAX, RefindabilityModel, SerpSnapshot, Vertical, parse_date, snapshot_from_json
 from .render import (
     format_compare,
     format_prob_table,
@@ -60,7 +55,7 @@ from .render import (
     format_transitions,
     render_fit_curve,
     render_page_rate_bars,
-    render_temporal_grid,
+    temporal_grid_lines,
 )
 from .serp_io import DEFAULT_DELAY, FetchPlan, build_snapshot
 from .store import (
@@ -74,18 +69,6 @@ from .synth import Kernel, SynthParams, iter_snapshots
 
 STORE_ENV = "SERPCHURN_STORE"
 
-_EXIT_TAGS: list[tuple[type, int, str]] = [
-    (RateLimited, 5, "rate-limited"),
-    (StoreMissingError, 3, "store-missing"),
-    (FixtureNotFound, 3, "fixture-missing"),
-    (InsufficientDataError, 4, "insufficient-data"),
-    (UriParseError, 6, "uri-parse"),
-    (SerpParseError, 6, "serp-parse"),
-    (StoreMismatchError, 2, "store-mismatch"),
-    (ValidationError, 2, "validation"),
-    (TransportError, 1, "transport"),
-]
-
 
 def _store_arg(value: str | None) -> str:
     resolved = value or os.environ.get(STORE_ENV)
@@ -94,7 +77,9 @@ def _store_arg(value: str | None) -> str:
     return resolved
 
 
-def _load_store(arg: str) -> CollectionStore:
+def _load_store(args) -> CollectionStore:
+    """The collection that ``--store`` or $SERPCHURN_STORE names; ``-`` reads stdin."""
+    arg = _store_arg(args.store)
     if arg == "-":
         return store_from_stream(sys.stdin)
     return open_store(Path(arg))
@@ -113,9 +98,9 @@ def _append(store_arg: str, snapshots: list[SerpSnapshot]) -> bool:
 
 def _parse_date(text: str) -> date:
     try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ValidationError(f"{text!r} is not a YYYY-MM-DD date") from None
+        return parse_date(text)
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
 
 
 _INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}
@@ -136,11 +121,14 @@ def _interval_days(text: str) -> int:
     return days
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write one string, or each of an iterable's strings as it comes, to ``out`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fp:
+            fp.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _table(report: ChurnReport, fmt: str, text_table: Callable[[ChurnReport], str]) -> str:
@@ -161,7 +149,7 @@ def _fit(
 # -- subcommand bodies --------------------------------------------------
 
 
-def _cmd_scrape(args) -> int:
+def _cmd_scrape(args) -> None:
     date_range = None
     if args.date_start or args.date_end:
         if not (args.date_start and args.date_end):
@@ -185,10 +173,9 @@ def _cmd_scrape(args) -> int:
             f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links",
             file=sys.stderr,
         )
-    return 0
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> None:
     docs = []
     for name in args.files:
         if name == "-":
@@ -202,11 +189,10 @@ def _cmd_ingest(args) -> int:
         raise InsufficientDataError("nothing to ingest")
     if _append(_store_arg(args.store), docs):
         print(f"ingested {len(docs)} snapshot(s)", file=sys.stderr)
-    return 0
 
 
-def _cmd_stats(args) -> int:
-    store = _load_store(_store_arg(args.store))
+def _cmd_stats(args) -> str:
+    store = _load_store(args)
     total, uniq, span = store.collection_stats()
     m = store.manifest
     lines = [
@@ -221,45 +207,34 @@ def _cmd_stats(args) -> int:
     if m.start_date:
         lines.insert(2, f"first day:  {m.start_date.isoformat()}")
         lines.insert(3, f"last day:   {m.end_date.isoformat()}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_timelines(args) -> int:
-    store = _load_store(_store_arg(args.store))
-    _emit(format_timelines(store.build_timelines()), args.output)
-    return 0
+def _cmd_timelines(args) -> str:
+    return format_timelines(_load_store(args).build_timelines())
 
 
-def _cmd_metrics(args) -> int:
-    store = _load_store(_store_arg(args.store))
+def _cmd_metrics(args) -> str:
+    store = _load_store(args)
     intervals = [_interval_days(part) for part in args.intervals.split(",") if part]
     if not intervals:
         raise ValidationError("--intervals names no interval")
-    report = compute_rates(store, intervals)
-    _emit(_table(report, args.format, format_rate_table), args.output)
-    return 0
+    return _table(compute_rates(store, intervals), args.format, format_rate_table)
 
 
-def _cmd_prob(args) -> int:
-    store = _load_store(_store_arg(args.store))
-    _emit(_table(compute_refind(store), args.format, format_prob_table), args.output)
-    return 0
+def _cmd_prob(args) -> str:
+    return _table(compute_refind(_load_store(args)), args.format, format_prob_table)
 
 
-def _cmd_transitions(args) -> int:
-    store = _load_store(_store_arg(args.store))
-    est = transition_matrix(store.build_timelines())
+def _cmd_transitions(args) -> str:
+    est = transition_matrix(_load_store(args).build_timelines())
     if args.counts:
-        rows = [" ".join(str(c) for c in row) for row in est.counts]
-        _emit("\n".join(rows) + "\n", args.output)
-    else:
-        _emit(format_transitions(est), args.output)
-    return 0
+        return "".join(" ".join(str(c) for c in row) + "\n" for row in est.counts)
+    return format_transitions(est)
 
 
-def _cmd_fit(args) -> int:
-    store = _load_store(_store_arg(args.store))
+def _cmd_fit(args) -> None:
+    store = _load_store(args)
     m = store.manifest
     if args.vertical and Vertical.from_wire(args.vertical) is not m.vertical:
         raise StoreMismatchError(
@@ -267,12 +242,11 @@ def _cmd_fit(args) -> int:
         )
     points, model = _fit(store, args.max_k)
     doc = model_doc(model, m.vertical, len(points), m.end_date)
-    _emit(doc, args.output)
+    _emit(doc, args.output)  # first, so an unwritable -o prints no algebraic form
     print(algebraic_form(model), file=sys.stderr)
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     stores = [open_store(Path(args.store_a)), open_store(Path(args.store_b))]
     set_a, set_b = (
         {r.canonical_uri for s in store.snapshots.values() for r in s.results}
@@ -281,43 +255,35 @@ def _cmd_compare(args) -> int:
     label_a, label_b = (store.vertical.value for store in stores)
     if label_a == label_b:
         label_a, label_b = "a", "b"
-    _emit(
-        format_compare(
-            label_a,
-            label_b,
-            len(set_a),
-            len(set_b),
-            len(set_a & set_b),
-            overlap(set_a, set_b),
-            recall(set_a, set_b),
-            recall(set_b, set_a),
-        ),
-        args.output,
+    return format_compare(
+        label_a,
+        label_b,
+        len(set_a),
+        len(set_b),
+        len(set_a & set_b),
+        overlap(set_a, set_b),
+        recall(set_a, set_b),
+        recall(set_b, set_a),
     )
-    return 0
 
 
-def _cmd_report(args) -> int:
-    store = _load_store(_store_arg(args.store))
+def _cmd_report(args) -> str | Iterable[str]:
+    store = _load_store(args)
     if args.kind == "page-chart":
         days = _interval_days(args.interval)
         cells = compute_rates(store, [days]).replacement
         rates = [(p, cells[days, p].value) for p in range(1, PAGES_MAX + 1) if (days, p) in cells]
         if not rates:
             raise InsufficientDataError("no page has enough data to chart")
-        text = render_page_rate_bars(rates)
-    elif args.kind == "temporal-grid":
-        timelines = store.build_timelines()
+        return render_page_rate_bars(rates)
+    if args.kind == "temporal-grid":
         m = store.manifest
         matrix = temporal_matrix(
-            timelines, start=m.start_date, days=len(m.calendar), gaps=m.gaps
+            store.build_timelines(), start=m.start_date, days=len(m.calendar), gaps=m.gaps
         )
-        text = render_temporal_grid(matrix)
-    else:  # fit-curve
-        points, model = _fit(store)
-        text = render_fit_curve([(float(k), p) for k, p in points], model)
-    _emit(text, args.output)
-    return 0
+        return temporal_grid_lines(matrix)
+    points, model = _fit(store)  # fit-curve
+    return render_fit_curve([(float(k), p) for k, p in points], model)
 
 
 def _read_kernel(path: str) -> Kernel:
@@ -328,7 +294,7 @@ def _read_kernel(path: str) -> Kernel:
         raise ValidationError(f"kernel file {path} is not a matrix of numbers: {e}") from None
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     params = SynthParams(
         days=args.days,
         pages=args.pages,
@@ -343,7 +309,6 @@ def _cmd_synth(args) -> int:
     store_arg = _store_arg(args.store)
     if _append(store_arg, list(iter_snapshots(params))):
         print(f"generated {args.days} day(s) into {store_arg}", file=sys.stderr)
-    return 0
 
 
 # -- parser -------------------------------------------------------------
@@ -386,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="collection totals")
     add_store(p)
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, output=None)
 
     p = sub.add_parser("timelines", help="per-story page observations")
     add_store(p)
@@ -456,14 +421,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if text is not None:  # else the command wrote what it had
+            _emit(text, args.output)
+        return 0
     except SerpChurnError as e:
-        for klass, code, tag in _EXIT_TAGS:
-            if isinstance(e, klass):
-                print(f"error: {tag}: {e}", file=sys.stderr)
-                return code
-        print(f"error: internal: {e}", file=sys.stderr)
-        return 1
+        print(f"error: {e.tag}: {e}", file=sys.stderr)
+        return e.exit_code
     except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 1

@@ -74,13 +74,20 @@ def _interval_mean(
 ) -> tuple[Fraction, int] | None:
     """avg_interval_rate over prebuilt day sets, or None when no anchor pair
     is usable. The numerators are summed per size of the defining set: one
-    exact Fraction per distinct size, not per pair."""
+    exact Fraction per distinct size, not per pair. A lag longer than the
+    sets' span has no pair, and no date is stepped past the last day, so no
+    lag overflows the calendar."""
     if days < 1:
         raise ValidationError(f"interval must be >= 1 day, got {days}")
+    if not sets or days > (max(sets) - min(sets)).days:
+        return None
     lag = timedelta(days=days)
+    last_anchor = max(sets) - lag  # within the span, so inside the calendar
     by_size: dict[int, int] = {}
     n = 0
     for d, here in sets.items():
+        if d > last_anchor:
+            continue
         later = sets.get(d + lag)
         if later is None:
             continue

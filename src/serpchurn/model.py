@@ -11,6 +11,7 @@ All types here are immutable; every function is pure.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -293,6 +294,20 @@ def snapshot_to_json(snapshot: SerpSnapshot) -> str:
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> date:
+    """A YYYY-MM-DD date, else ValueError; from Python 3.11 on, ``fromisoformat``
+    alone also takes ``20240101`` and week dates such as ``2024-W01-1``."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+
+
 def snapshot_from_json(text: str | bytes) -> SerpSnapshot:
     try:
         doc = json.loads(text)
@@ -312,7 +327,7 @@ def snapshot_from_json(text: str | bytes) -> SerpSnapshot:
         return SerpSnapshot(
             query=doc["query"],
             vertical=Vertical.from_wire(doc["vertical"]),
-            date=date.fromisoformat(doc["date"]),
+            date=parse_date(doc["date"]),
             results=results,
         )
     except SerpParseError:

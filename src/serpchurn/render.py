@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from datetime import timedelta
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .fitting import eval_model
 from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, rate_rows
@@ -33,31 +33,32 @@ def _fmt(x: float) -> str:
 # -- SVG ----------------------------------------------------------------
 
 
-def render_temporal_grid(matrix: TemporalMatrix) -> str:
+def temporal_grid_lines(matrix: TemporalMatrix) -> Iterator[str]:
     """Story-by-day grid; exactly one 12-pixel square rect per cell.
 
     Page states use the page palette, state 0 is white, and days with no
     snapshot are hatched via a line pattern (keeping the rect count equal
-    to rows x columns). Each row is spelled out and drawn one story at a
-    time, so only the SVG's text is held, never the grid's cells.
+    to rows x columns). Yields the header, then one string per story row
+    (each rect ending in a newline), then the closing tag, so a writer
+    holds one row of the SVG at a time, never the grid's cells.
     """
     cell = 12
     rows = len(matrix.timelines)
     width = matrix.days * cell if rows else 0
     height = rows * cell
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        "<defs>",
-        '<pattern id="gap" width="6" height="6" patternUnits="userSpaceOnUse">',
-        '<line x1="0" y1="6" x2="6" y2="0" stroke="#999999" stroke-width="1"/>',
-        "</pattern>",
-        "</defs>",
-    ]
+        f'viewBox="0 0 {width} {height}">\n'
+        "<defs>\n"
+        '<pattern id="gap" width="6" height="6" patternUnits="userSpaceOnUse">\n'
+        '<line x1="0" y1="6" x2="6" y2="0" stroke="#999999" stroke-width="1"/>\n'
+        "</pattern>\n"
+        "</defs>\n"
+    )
     # each rect is a column's head, the row's y, and the state's tail
     heads = [f'<rect x="{ci * cell}" y="' for ci in range(matrix.days)]
     tails = {
-        state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
+        state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>\n'
         for state, fill in {None: "url(#gap)", 0: ABSENT_COLOR, **PAGE_COLORS}.items()
     }
     lead = tuple(
@@ -68,9 +69,13 @@ def render_temporal_grid(matrix: TemporalMatrix) -> str:
         offset = (t.first_seen - matrix.start).days
         row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - len(t))
         y = str(ri * cell)
-        parts.append("\n".join([head + y + tails[state] for head, state in zip(heads, row)]))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+        yield "".join([head + y + tails[state] for head, state in zip(heads, row)])
+    yield "</svg>\n"
+
+
+def render_temporal_grid(matrix: TemporalMatrix) -> str:
+    """The whole temporal grid SVG as one string; see ``temporal_grid_lines``."""
+    return "".join(temporal_grid_lines(matrix))
 
 
 def render_page_rate_bars(rates: Sequence[tuple[int, float]]) -> str:

@@ -10,6 +10,7 @@ markup and unwraps redirect-style hrefs.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -53,6 +54,8 @@ class FetchPlan:
             raise ValueError("query must be non-empty")
         if not 1 <= self.pages <= 5:
             raise ValueError(f"pages must be in [1,5], got {self.pages}")
+        if not math.isfinite(self.politeness_delay):
+            raise ValueError(f"politeness_delay must be finite, got {self.politeness_delay}")
         if self.politeness_delay < 0:
             raise ValueError("politeness_delay must be >= 0")
         if self.date_range is not None and self.date_range[0] > self.date_range[1]:

@@ -116,13 +116,6 @@ class CollectionStore:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def create(
-        cls, topic: str, vertical: Vertical, root: Path | None = None
-    ) -> "CollectionStore":
-        # on disk, an empty batch makes the directories and manifest
-        return cls.from_snapshots(topic, vertical, (), root=root)
-
-    @classmethod
     def from_snapshots(
         cls,
         topic: str,

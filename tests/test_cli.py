@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import serpchurn
+from serpchurn import errors
 from serpchurn.cli import main
 from serpchurn.errors import SerpParseError
 from serpchurn.model import StoryTimeline
 from serpchurn.store import open_store
+from serpchurn.synth import SynthParams, generate
 
 
 def run(capsys, *argv):
@@ -68,6 +71,25 @@ def harvey_store(tmp_path, serp_root):
         )
         assert code == 0
     return root
+
+
+# every error class, its exit code and its tag, subclasses included
+EXIT_CODES = [
+    (errors.UriParseError("x"), 6, "uri-parse"),
+    (errors.SerpParseError("m"), 6, "serp-parse"),
+    (errors.RateLimited("m"), 5, "rate-limited"),
+    (errors.TransportError("m"), 1, "transport"),
+    (errors.FixtureNotFound("m"), 3, "fixture-missing"),
+    (errors.StoreMissingError("m"), 3, "store-missing"),
+    (errors.StoreMismatchError("m"), 2, "store-mismatch"),
+    (errors.InsufficientDataError("m"), 4, "insufficient-data"),
+    (errors.UndefinedRateError("m"), 4, "insufficient-data"),
+    (errors.UnderdeterminedFitError("m"), 4, "insufficient-data"),
+    (errors.FitConvergenceError("m"), 1, "internal"),
+    (errors.ValidationError("m"), 2, "validation"),
+    (errors.OracleScaleError("m"), 1, "internal"),
+    (errors.SerpChurnError("m"), 1, "internal"),
+]
 
 
 class TestExitCodes:
@@ -165,6 +187,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats")
         assert code == 2
         assert "SERPCHURN_STORE" in err
+
+    @pytest.mark.parametrize(
+        "error, code, tag",
+        EXIT_CODES,
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_each_error_class_exits_with_its_code_and_tag(
+        self, capsys, monkeypatch, error, code, tag
+    ):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr("serpchurn.cli._cmd_stats", fail)
+        assert run(capsys, "stats", "--store", "unused") == (code, "", f"error: {tag}: {error}\n")
+
+    def test_every_error_class_is_pinned(self):
+        classes, todo = set(), [errors.SerpChurnError]
+        while todo:
+            classes.add(todo[-1])
+            todo.extend(todo.pop().__subclasses__())
+        assert {type(error) for error, _, _ in EXIT_CODES} == classes
 
     def test_bad_report_combo_is_2(self, capsys, synth_store):
         code, _, err = run(
@@ -333,6 +376,26 @@ def test_an_interval_count_is_ascii_digits(capsys, synth_store, command):
         )
 
 
+@pytest.mark.parametrize("days", ["400", "3000000", "999999999", "1000000000"])
+def test_an_interval_longer_than_the_store_has_no_pair(capsys, synth_store, days):
+    capsys.readouterr()
+    store = ("--store", str(synth_store))
+    code, out, err = run(capsys, "metrics", "--intervals", days, *store)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["metric             interval page     mean      n"]
+    assert run(capsys, "report", "--kind", "page-chart", "--interval", days, *store) == (
+        4, "", "error: insufficient-data: no page has enough data to chart\n"
+    )
+
+
+def test_an_interval_ending_past_date_max_is_skipped(capsys, monkeypatch):
+    assert main(["synth", "--days", "12", "--start", "9999-12-20", "--store", "-"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    code, out, err = run(capsys, "metrics", "--intervals", "7", "--store", "-")
+    assert (code, err) == (0, "")
+    assert "replacement_rate         7d  all   0.0000      5" in out.splitlines()
+
+
 def test_report_to_file(tmp_path, capsys, synth_store):
     out_file = tmp_path / "grid.svg"
     code, out, _ = run(
@@ -350,6 +413,22 @@ def test_report_to_file(tmp_path, capsys, synth_store):
     assert code == 0
     assert out == ""
     assert out_file.read_text(encoding="utf-8").startswith("<svg")
+    _, svg, _ = run(capsys, "report", "--kind", "temporal-grid", "--store", str(synth_store))
+    assert out_file.read_bytes() == svg.encode()
+
+
+def test_the_grid_streams_to_its_file(tmp_path):
+    """The command holds about one row of the SVG, never the whole document."""
+    generate(SynthParams(days=30, replacement_rate=0.35, seed=5), root=tmp_path / "s")
+    out = tmp_path / "grid.svg"
+    tracemalloc.start()
+    try:
+        code = main(["report", "--kind", "temporal-grid", "--store", str(tmp_path / "s"), "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.0 * out.stat().st_size
 
 
 def test_stream_mode_round_trip(capsys, monkeypatch):
@@ -495,11 +574,14 @@ def test_a_non_finite_kernel_is_a_validation_error(capsys, tmp_path, entry):
         ["scrape", "--query", " "],
         ["scrape", "--query", "q", "--pages", "6"],
         ["scrape", "--query", "q", "--delay", "-1"],
+        ["scrape", "--query", "q", "--delay", "nan"],
+        ["scrape", "--query", "q", "--delay", "inf"],
         ["synth", "--days", "2", "--start", "01/01/2024"],
         ["synth", "--days", "5", "--start", "9999-12-30"],
     ],
     ids=[
-        "date", "date-start", "reversed-window", "empty-query", "pages", "delay", "start",
+        "date", "date-start", "reversed-window", "empty-query", "pages", "delay", "delay-nan",
+        "delay-inf", "start",
         "span-past-date-max",
     ],
 )
@@ -508,6 +590,35 @@ def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+    assert not (tmp_path / "col").exists()
+
+
+@pytest.mark.parametrize("text", ["20240101", "2024-W01-1", "2024W011"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scrape", "--query", "q", "--date", "{}"],
+        ["scrape", "--query", "q", "--date-start", "{}", "--date-end", "2024-01-02"],
+        ["scrape", "--query", "q", "--date-start", "2023-12-31", "--date-end", "{}"],
+        ["synth", "--days", "2", "--start", "{}"],
+    ],
+    ids=["date", "date-start", "date-end", "start"],
+)
+def test_a_date_is_spelled_yyyy_mm_dd(capsys, tmp_path, argv, text):
+    argv = [arg.format(text) for arg in argv]
+    assert run(capsys, *argv, "--store", str(tmp_path / "col")) == (
+        2, "", f"error: validation: {text!r} is not a YYYY-MM-DD date\n"
+    )
+    assert not (tmp_path / "col").exists()
+
+
+@pytest.mark.parametrize("text", ["20240101", "2024-W01-1", "2024W011"])
+def test_a_stored_date_is_spelled_yyyy_mm_dd(capsys, tmp_path, text):
+    doc = json.dumps({"query": "q", "vertical": "general", "date": text, "links": []})
+    (tmp_path / "snap.json").write_text(doc, encoding="utf-8")
+    assert run(capsys, "ingest", str(tmp_path / "snap.json"), "--store", str(tmp_path / "col")) == (
+        6, "", f"error: serp-parse: snapshot document is malformed: {text!r} is not a YYYY-MM-DD date\n"
+    )
     assert not (tmp_path / "col").exists()
 
 

@@ -47,7 +47,7 @@ def snap(day, links):
 
 
 def store_of(*snaps):
-    store = CollectionStore.create("topic", Vertical.GENERAL)
+    store = CollectionStore("topic", Vertical.GENERAL)
     for s in snaps:
         store.ingest(s)
     return store
@@ -179,6 +179,17 @@ class TestIntervalAveraging:
                 _interval_days(f"{bad}d")
             with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
                 avg_interval_rate(store, bad, RateKind.REPLACEMENT)
+
+    @pytest.mark.parametrize("days", [3, 400, 3_000_000, 999_999_999, 1_000_000_000])
+    def test_a_lag_past_the_span_has_no_pair(self, days):
+        store = store_of(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
+        with pytest.raises(InsufficientDataError, match=f"no usable {days}-day anchor pairs$"):
+            avg_interval_rate(store, days, RateKind.REPLACEMENT)
+
+    def test_no_lag_steps_past_the_calendar(self):
+        store = generate(SynthParams(days=12, start=date(9999, 12, 20), seed=3))
+        mean, n = avg_interval_rate(store, 7, RateKind.REPLACEMENT)
+        assert n == 5 and mean == 0  # anchors 9999-12-20 .. 12-24; no replacement
 
 
 WORKED_TRIO = (
@@ -458,7 +469,7 @@ class TestStorePath:
 class TestReport:
     def fixture_report(self, harvey_snapshots):
         s07, s08 = harvey_snapshots
-        store = CollectionStore.create("hurricane harvey", Vertical.GENERAL)
+        store = CollectionStore("hurricane harvey", Vertical.GENERAL)
         store.ingest(s07)
         store.ingest(s08)
         return compute_report(store)
@@ -483,7 +494,7 @@ class TestReport:
 
     def test_fixture_transitions(self, harvey_snapshots):
         s07, s08 = harvey_snapshots
-        store = CollectionStore.create("hurricane harvey", Vertical.GENERAL)
+        store = CollectionStore("hurricane harvey", Vertical.GENERAL)
         store.ingest(s07)
         store.ingest(s08)
         est = transition_matrix(store.build_timelines())

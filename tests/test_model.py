@@ -186,6 +186,10 @@ class TestInterchange:
             '{"query": "q", "vertical": "general", "date": "2024-01-01"}',
             '{"query": "q", "vertical": "nope", "date": "2024-01-01", "links": []}',
             '{"query": "q", "vertical": "general", "date": "01/01/2024", "links": []}',
+            # ISO spellings that Python 3.11's fromisoformat takes and 3.10's does not
+            '{"query": "q", "vertical": "general", "date": "20240101", "links": []}',
+            '{"query": "q", "vertical": "general", "date": "2024-W01-1", "links": []}',
+            '{"query": "q", "vertical": "general", "date": "2024W011", "links": []}',
             '{"query": 5, "vertical": "general", "date": "2024-01-01", "links": []}',
             # a page or rank that equals a whole number but is no int
             _LINK_DOC % ("1.0", "1"),

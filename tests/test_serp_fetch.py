@@ -148,8 +148,9 @@ def test_plan_validation():
         FetchPlan(query="q", pages=0)
     with pytest.raises(ValueError):
         FetchPlan(query="q", pages=6)
-    with pytest.raises(ValueError):
-        FetchPlan(query="q", politeness_delay=-1)
+    for delay in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FetchPlan(query="q", politeness_delay=delay)
     with pytest.raises(ValueError):
         FetchPlan(query="q", date_range=(date(2017, 9, 30), date(2017, 9, 1)))
 

@@ -46,7 +46,7 @@ def snap(day, links, query="topic", vertical=Vertical.GENERAL):
 
 def test_create_ingest_reopen_round_trip(tmp_path):
     root = tmp_path / "col"
-    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
     store.ingest(snap(1, [("a", 1), ("b", 2)]))
     store.ingest(snap(3, [("b", 1)]))
 
@@ -61,7 +61,7 @@ def test_create_ingest_reopen_round_trip(tmp_path):
 
 def test_export_is_byte_identical_to_ingested_form(tmp_path):
     root = tmp_path / "col"
-    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
     s = snap(1, [("a", 1)])
     store.ingest(s)
     exported = snapshot_to_json(store.snapshots[D(1)]).encode("utf-8")
@@ -96,7 +96,7 @@ def test_manifest_written_once_per_batch(tmp_path, monkeypatch):
 
 def test_batch_with_a_stranger_writes_nothing(tmp_path, monkeypatch):
     root = tmp_path / "col"
-    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
     store.ingest(snap(1, [("a", 1)]))
     files = sorted(p.relative_to(root) for p in root.rglob("*"))
     written = _spy_writes(monkeypatch)
@@ -119,7 +119,7 @@ def test_batch_with_a_stranger_writes_nothing(tmp_path, monkeypatch):
 )
 def test_open_store_checks_each_snapshot(tmp_path, capsys, stranger, name, error, code):
     root = tmp_path / "col"
-    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
     store.ingest(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
     (root / "snapshots" / name).write_text(snapshot_to_json(stranger), encoding="utf-8")
     with pytest.raises(error):
@@ -130,7 +130,7 @@ def test_open_store_checks_each_snapshot(tmp_path, capsys, stranger, name, error
 
 def test_a_manifest_topic_that_is_no_string_is_malformed(tmp_path, capsys):
     root = tmp_path / "col"
-    CollectionStore.create("topic", Vertical.GENERAL, root=root).ingest(snap(1, [("a", 1)]))
+    CollectionStore.from_snapshots("topic", Vertical.GENERAL, [snap(1, [("a", 1)])], root=root)
     (root / "collection.json").write_text('{"topic": 5, "vertical": "general"}\n', encoding="utf-8")
     with pytest.raises(SerpParseError, match="topic must be a string, got 5$"):
         open_store(root)
@@ -139,20 +139,20 @@ def test_a_manifest_topic_that_is_no_string_is_malformed(tmp_path, capsys):
 
 
 def test_ingest_rejects_other_topic():
-    store = CollectionStore.create("topic", Vertical.GENERAL)
+    store = CollectionStore("topic", Vertical.GENERAL)
     with pytest.raises(StoreMismatchError) as exc:
         store.ingest(snap(1, [("a", 1)], query="other"))
     assert "other" in str(exc.value) and "topic" in str(exc.value)
 
 
 def test_ingest_rejects_other_vertical():
-    store = CollectionStore.create("topic", Vertical.NEWS)
+    store = CollectionStore("topic", Vertical.NEWS)
     with pytest.raises(StoreMismatchError):
         store.ingest(snap(1, [("a", 1)]))
 
 
 def test_last_write_wins():
-    store = CollectionStore.create("topic", Vertical.GENERAL)
+    store = CollectionStore("topic", Vertical.GENERAL)
     store.ingest(snap(1, [("a", 1)]))
     store.ingest(snap(1, [("b", 1), ("c", 2)]))
     assert len(store.snapshots[D(1)].results) == 2
@@ -160,7 +160,7 @@ def test_last_write_wins():
 
 
 def test_collection_stats():
-    store = CollectionStore.create("topic", Vertical.GENERAL)
+    store = CollectionStore("topic", Vertical.GENERAL)
     assert store.collection_stats() == (0, 0, 0)
     store.ingest(snap(1, [("a", 1), ("b", 2)]))
     store.ingest(snap(4, [("a", 1)]))
@@ -170,12 +170,12 @@ def test_collection_stats():
 
 class TestTimelines:
     def test_empty_store_raises(self):
-        store = CollectionStore.create("topic", Vertical.GENERAL)
+        store = CollectionStore("topic", Vertical.GENERAL)
         with pytest.raises(InsufficientDataError):
             store.build_timelines()
 
     def test_observation_values(self):
-        store = CollectionStore.create("topic", Vertical.GENERAL)
+        store = CollectionStore("topic", Vertical.GENERAL)
         store.ingest(snap(1, [("a", 4), ("b", 1)]))
         store.ingest(snap(2, [("a", 2)]))
         store.ingest(snap(4, [("a", 1), ("c", 3)]))
@@ -193,14 +193,14 @@ class TestTimelines:
         assert c.observations == (3,)
 
     def test_ordering(self):
-        store = CollectionStore.create("topic", Vertical.GENERAL)
+        store = CollectionStore("topic", Vertical.GENERAL)
         store.ingest(snap(2, [("z", 1), ("m", 2)]))
         store.ingest(snap(1, [("q", 1)]))
         uris = [t.canonical_uri for t in store.build_timelines()]
         assert uris == ["q.example/s", "m.example/s", "z.example/s"]
 
     def test_timeline_runs_to_last_store_date(self):
-        store = CollectionStore.create("topic", Vertical.GENERAL)
+        store = CollectionStore("topic", Vertical.GENERAL)
         store.ingest(snap(1, [("a", 1)]))
         store.ingest(snap(5, [("b", 1)]))
         by_uri = {t.canonical_uri: t for t in store.build_timelines()}
@@ -234,7 +234,7 @@ class TestStream:
 def test_fixture_corpus_round_trip(tmp_path, harvey_snapshots):
     s07, s08 = harvey_snapshots
     root = tmp_path / "harvey"
-    store = CollectionStore.create("hurricane harvey", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("hurricane harvey", Vertical.GENERAL, (), root=root)
     store.ingest(s07)
     store.ingest(s08)
     again = open_store(root)
@@ -267,7 +267,7 @@ def _assert_manifest_file_matches_the_snapshots(root):
 
 def test_manifest_follows_the_snapshots(tmp_path, capsys):
     root = tmp_path / "col"
-    store = CollectionStore.create("topic", Vertical.GENERAL, root=root)
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
     _assert_manifest_file_matches_the_snapshots(root)
     store.ingest(snap(1, [("a", 1)]), snap(2, [("b", 1)]), snap(3, [("a", 2)]))
     _assert_manifest_file_matches_the_snapshots(root)
@@ -459,10 +459,10 @@ def test_create_and_generate_refuse_another_collection(tmp_path, monkeypatch):
     before = _files(root)
     written = _spy_writes(monkeypatch)
     with pytest.raises(StoreMismatchError) as exc:
-        CollectionStore.create("other", Vertical.GENERAL, root=root)
+        CollectionStore.from_snapshots("other", Vertical.GENERAL, (), root=root)
     assert "'topic' (general)" in str(exc.value) and "'other' (general)" in str(exc.value)
     with pytest.raises(StoreMismatchError):
-        CollectionStore.create("topic", Vertical.NEWS, root=root)
+        CollectionStore.from_snapshots("topic", Vertical.NEWS, (), root=root)
     with pytest.raises(StoreMismatchError):
         generate(SynthParams(days=3, topic="other"), root=root)
     assert written == []

@@ -5,6 +5,7 @@ snapshot documents, then read stats, timelines, metrics, probabilities,
 transitions, fitted models, comparisons and rendered reports back out.
 ``--store`` points at a collection directory; ``-`` streams snapshot
 documents over stdin/stdout instead (one compact JSON doc per line).
+stdin, stdout and every file are UTF-8, whatever the locale.
 
 Exit codes: 0 success, 1 transport, I/O or internal failure, 2 usage
 or validation error, 3 missing store or fixture, 4 not enough data,
@@ -46,7 +47,15 @@ from .metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from .model import PAGES_MAX, RefindabilityModel, SerpSnapshot, Vertical, parse_date, snapshot_from_json
+from .model import (
+    PAGES_MAX,
+    RefindabilityModel,
+    SerpSnapshot,
+    Vertical,
+    parse_date,
+    snapshot_from_json,
+    snapshot_to_json,
+)
 from .render import (
     format_compare,
     format_prob_table,
@@ -60,7 +69,6 @@ from .render import (
 from .serp_io import DEFAULT_DELAY, FetchPlan, build_snapshot
 from .store import (
     CollectionStore,
-    dump_snapshot_stream,
     iter_snapshot_stream,
     open_store,
     store_from_stream,
@@ -81,19 +89,20 @@ def _load_store(args) -> CollectionStore:
     """The collection that ``--store`` or $SERPCHURN_STORE names; ``-`` reads stdin."""
     arg = _store_arg(args.store)
     if arg == "-":
-        return store_from_stream(sys.stdin)
+        return store_from_stream(sys.stdin.buffer)
     return open_store(Path(arg))
 
 
-def _append(store_arg: str, snapshots: list[SerpSnapshot]) -> bool:
-    """Stream the snapshots for ``-``; else add them to the collection of the
-    first one's query and vertical, which is never loaded. True if stored."""
+def _append(store_arg: str, snapshots: list[SerpSnapshot], note: str) -> Iterable[str] | None:
+    """The snapshots' stream lines for ``-``; else add them to the collection of
+    the first one's query and vertical, which is never loaded, and print ``note``
+    to stderr."""
     if store_arg == "-":
-        dump_snapshot_stream(snapshots, sys.stdout)
-        return False
+        return map(snapshot_to_json, snapshots)
     head = snapshots[0]
     CollectionStore.from_snapshots(head.query, head.vertical, snapshots, root=Path(store_arg))
-    return True
+    print(note, file=sys.stderr)
+    return None
 
 
 def _parse_date(text: str) -> date:
@@ -122,13 +131,15 @@ def _interval_days(text: str) -> int:
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write one string, or each of an iterable's strings as it comes, to ``out`` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+    """Write one string, or each of an iterable's strings as it comes, to ``out``
+    or stdout, as UTF-8 whatever the locale, so both carry the same bytes."""
+    chunks = (chunk.encode("utf-8") for chunk in ([text] if isinstance(text, str) else text))
     if out:
-        with open(out, "w", encoding="utf-8") as fp:
+        with open(out, "wb") as fp:
             fp.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
 
 
 def _table(report: ChurnReport, fmt: str, text_table: Callable[[ChurnReport], str]) -> str:
@@ -149,7 +160,7 @@ def _fit(
 # -- subcommand bodies --------------------------------------------------
 
 
-def _cmd_scrape(args) -> None:
+def _cmd_scrape(args) -> Iterable[str] | None:
     date_range = None
     if args.date_start or args.date_end:
         if not (args.date_start and args.date_end):
@@ -168,27 +179,23 @@ def _cmd_scrape(args) -> None:
         raise ValidationError(str(e)) from None
     day = _parse_date(args.date) if args.date else date.today()
     snapshot = build_snapshot(plan, day)
-    if _append(_store_arg(args.store), [snapshot]):
-        print(
-            f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links",
-            file=sys.stderr,
-        )
+    note = f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links"
+    return _append(_store_arg(args.store), [snapshot], note)
 
 
-def _cmd_ingest(args) -> None:
+def _cmd_ingest(args) -> Iterable[str] | None:
     docs = []
     for name in args.files:
         if name == "-":
-            docs.extend(iter_snapshot_stream(sys.stdin))
+            docs.extend(iter_snapshot_stream(sys.stdin.buffer))
         else:
             path = Path(name)
             if not path.is_file():
                 raise StoreMissingError(f"no snapshot file at {path}")
-            docs.append(snapshot_from_json(path.read_text(encoding="utf-8")))
+            docs.append(snapshot_from_json(path.read_bytes()))
     if not docs:
         raise InsufficientDataError("nothing to ingest")
-    if _append(_store_arg(args.store), docs):
-        print(f"ingested {len(docs)} snapshot(s)", file=sys.stderr)
+    return _append(_store_arg(args.store), docs, f"ingested {len(docs)} snapshot(s)")
 
 
 def _cmd_stats(args) -> str:
@@ -210,7 +217,7 @@ def _cmd_stats(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_timelines(args) -> str:
+def _cmd_timelines(args) -> Iterable[str]:
     return format_timelines(_load_store(args).build_timelines())
 
 
@@ -290,11 +297,11 @@ def _read_kernel(path: str) -> Kernel:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return tuple(tuple(float(x) for x in row) for row in raw)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"kernel file {path} is not a matrix of numbers: {e}") from None
 
 
-def _cmd_synth(args) -> None:
+def _cmd_synth(args) -> Iterable[str] | None:
     params = SynthParams(
         days=args.days,
         pages=args.pages,
@@ -307,8 +314,8 @@ def _cmd_synth(args) -> None:
         start=_parse_date(args.start),
     )
     store_arg = _store_arg(args.store)
-    if _append(store_arg, list(iter_snapshots(params))):
-        print(f"generated {args.days} day(s) into {store_arg}", file=sys.stderr)
+    note = f"generated {args.days} day(s) into {store_arg}"
+    return _append(store_arg, list(iter_snapshots(params)), note)
 
 
 # -- parser -------------------------------------------------------------
@@ -342,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date-start", default=None, help="restrict results from")
     p.add_argument("--date-end", default=None, help="restrict results to")
     add_store(p)
-    p.set_defaults(func=_cmd_scrape)
+    p.set_defaults(func=_cmd_scrape, output=None)
 
     p = sub.add_parser("ingest", help="add snapshot documents to a collection")
     p.add_argument("files", nargs="+", help="snapshot JSON files, or - for stdin")
     add_store(p)
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_ingest, output=None)
 
     p = sub.add_parser("stats", help="collection totals")
     add_store(p)
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertical", choices=["general", "news"], default="general")
     p.add_argument("--start", default="2024-01-01")
     add_store(p)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, output=None)
 
     return parser
 

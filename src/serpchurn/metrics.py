@@ -224,28 +224,16 @@ class TransitionEstimate:
         ):
             raise ValidationError(f"counts must be {N_STATES}x{N_STATES}")
 
-    def row_total(self, i: int) -> int:
-        return sum(self.counts[i])
-
     @property
     def total(self) -> int:
         return sum(map(sum, self.counts))
 
-    def prob(self, i: int, j: int) -> Fraction:
-        total = self.row_total(i)
-        if total == 0:
-            raise UndefinedRateError(f"no transitions observed out of state {i}")
-        return Fraction(self.counts[i][j], total)
-
     def rows(self) -> list[list[Fraction] | None]:
         """Per-state probability rows; None where the state was never left."""
         out: list[list[Fraction] | None] = []
-        for i in range(N_STATES):
-            total = self.row_total(i)
-            if total == 0:
-                out.append(None)
-            else:
-                out.append([Fraction(c, total) for c in self.counts[i]])
+        for row in self.counts:
+            total = sum(row)
+            out.append([Fraction(c, total) for c in row] if total else None)
         return out
 
 

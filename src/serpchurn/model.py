@@ -308,12 +308,11 @@ def parse_date(text: str) -> date:
     raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
 
 
-def snapshot_from_json(text: str | bytes) -> SerpSnapshot:
+def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
+    """The snapshot a document holds; bytes are read as UTF-8 only. Any fault
+    in decoding, parsing or building raises SerpParseError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SerpParseError(f"snapshot document is not valid JSON: {e}") from None
-    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
         results = tuple(
             SerpResult(
                 uri=link["uri"],
@@ -330,9 +329,9 @@ def snapshot_from_json(text: str | bytes) -> SerpSnapshot:
             date=parse_date(doc["date"]),
             results=results,
         )
-    except SerpParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+    except json.JSONDecodeError as e:
+        raise SerpParseError(f"snapshot document is not valid JSON: {e}") from None
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"snapshot document is malformed: {e}") from None
 
 

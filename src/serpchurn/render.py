@@ -191,12 +191,12 @@ def format_transitions(est: TransitionEstimate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_timelines(timelines: Sequence[StoryTimeline]) -> str:
-    lines = [
-        f"{t.first_seen.isoformat()}  {t.notation()}  {t.canonical_uri}"
-        for t in timelines
-    ]
-    return "\n".join(lines) + "\n"
+def format_timelines(timelines: Sequence[StoryTimeline]) -> Iterator[str]:
+    """One line per story, as it comes; a lone newline when there is none."""
+    if not timelines:
+        yield "\n"
+    for t in timelines:
+        yield f"{t.first_seen.isoformat()}  {t.notation()}  {t.canonical_uri}\n"
 
 
 def format_compare(

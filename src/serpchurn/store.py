@@ -16,7 +16,7 @@ import os
 import tempfile
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     InsufficientDataError,
@@ -29,6 +29,7 @@ from .model import (
     SerpSnapshot,
     StoryTimeline,
     Vertical,
+    parse_date,
     snapshot_from_json,
     snapshot_to_json,
 )
@@ -62,12 +63,9 @@ def _stored_days(root: Path) -> set[date]:
         if not name.endswith(".json"):
             continue
         try:
-            day = date.fromisoformat(name[: -len(".json")])
+            days.add(parse_date(name[: -len(".json")]))
         except ValueError:
-            day = None
-        if day is None or name != f"{day.isoformat()}.json":
-            raise SerpParseError(f"{root / SNAPSHOT_DIR / name} is not named after a date")
-        days.add(day)
+            raise SerpParseError(f"{root / SNAPSHOT_DIR / name} is not named after a date") from None
     return days
 
 
@@ -95,7 +93,7 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
         if not isinstance(topic, str):
             raise TypeError(f"topic must be a string, got {topic!r}")
         return topic, vertical
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
 
 
@@ -227,7 +225,7 @@ def open_store(root: Path) -> CollectionStore:
     store = CollectionStore(*read_identity(root), root=root)
     for day in sorted(_stored_days(root)):
         path = root / SNAPSHOT_DIR / f"{day.isoformat()}.json"
-        snap = snapshot_from_json(path.read_text(encoding="utf-8"))
+        snap = snapshot_from_json(path.read_bytes())
         if snap.date != day:
             raise SerpParseError(f"{path} holds the snapshot for {snap.date.isoformat()}")
         store._check(snap)
@@ -241,19 +239,14 @@ def open_store(root: Path) -> CollectionStore:
 # collections through stdin/stdout without touching the filesystem.
 
 
-def dump_snapshot_stream(snapshots: Iterable[SerpSnapshot], fp: IO[str]) -> None:
-    for snap in snapshots:
-        fp.write(snapshot_to_json(snap))
-
-
-def iter_snapshot_stream(lines: Iterable[str]) -> Iterator[SerpSnapshot]:
+def iter_snapshot_stream(lines: Iterable[str | bytes]) -> Iterator[SerpSnapshot]:
     for line in lines:
         line = line.strip()
         if line:
             yield snapshot_from_json(line)
 
 
-def store_from_stream(lines: Iterable[str]) -> CollectionStore:
+def store_from_stream(lines: Iterable[str | bytes]) -> CollectionStore:
     snapshots = list(iter_snapshot_stream(lines))
     if not snapshots:
         raise InsufficientDataError("snapshot stream is empty")

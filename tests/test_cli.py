@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import serpchurn
 from serpchurn import errors
 from serpchurn.cli import main
 from serpchurn.errors import SerpParseError
-from serpchurn.model import StoryTimeline
+from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links, snapshot_to_json
 from serpchurn.store import open_store
 from serpchurn.synth import SynthParams, generate
 
@@ -390,7 +391,7 @@ def test_an_interval_longer_than_the_store_has_no_pair(capsys, synth_store, days
 
 def test_an_interval_ending_past_date_max_is_skipped(capsys, monkeypatch):
     assert main(["synth", "--days", "12", "--start", "9999-12-20", "--store", "-"]) == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(capsys.readouterr().out.encode())))
     code, out, err = run(capsys, "metrics", "--intervals", "7", "--store", "-")
     assert (code, err) == (0, "")
     assert "replacement_rate         7d  all   0.0000      5" in out.splitlines()
@@ -439,7 +440,7 @@ def test_stream_mode_round_trip(capsys, monkeypatch):
     stream = capsys.readouterr().out
     assert len(stream.splitlines()) == 4
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
     code, out, _ = run(capsys, "stats", "--store", "-")
     assert code == 0
     assert "snapshots:  4" in out
@@ -469,7 +470,7 @@ def test_scrape_to_stream(capsys, serp_root):
 def test_ingest_from_stdin(capsys, monkeypatch, tmp_path):
     main(["synth", "--days", "2", "--pages", "1", "--per-page", "2", "--store", "-"])
     stream = capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.encode())))
     root = tmp_path / "col"
     code, _, err = run(capsys, "ingest", "-", "--store", str(root))
     assert code == 0
@@ -545,7 +546,10 @@ def test_reads_leave_the_manifest_alone(capsys, synth_store):
 # -- input errors are validation errors; anything else is internal ----------
 
 
-@pytest.mark.parametrize("content", ["5", "[[null]]", "not json", '[[1, "x"]]'])
+@pytest.mark.parametrize(
+    "content",
+    ["5", "[[null]]", "not json", '[[1, "x"]]', pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000")],
+)
 def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
     kernel = tmp_path / "kernel.json"
     kernel.write_text(content, encoding="utf-8")
@@ -696,3 +700,76 @@ def test_a_link_field_that_is_no_string_is_unparseable(capsys, tmp_path, field):
     assert code == 6
     assert out == ""
     assert err.startswith("error: serp-parse:") and len(err.splitlines()) == 1
+
+
+# one value for each way a document can fail to read that no key check sees
+_UNREADABLE = {
+    "non-utf-8": b'"caf\xe9"',
+    "5000-digits": b"1" * 5000,
+    "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def _spoil(doc: bytes, fault: str) -> bytes:
+    """The JSON object ``doc`` with one more key, holding the fault."""
+    return doc.rstrip()[:-1] + b', "x": ' + _UNREADABLE[fault] + b"}"
+
+
+@pytest.mark.parametrize("fault", list(_UNREADABLE))
+@pytest.mark.parametrize("entry", ["snapshot-file", "manifest", "ingest-file", "ingest-stdin"])
+def test_a_document_that_does_not_read_is_unparseable(
+    capsys, monkeypatch, tmp_path, synth_store, entry, fault
+):
+    stored = sorted((synth_store / "snapshots").iterdir())[0]
+    argv = ["stats", "--store", str(synth_store)]
+    if entry == "snapshot-file":
+        stored.write_bytes(_spoil(stored.read_bytes(), fault))
+    elif entry == "manifest":
+        manifest = synth_store / "collection.json"
+        manifest.write_bytes(_spoil(manifest.read_bytes(), fault))
+    elif entry == "ingest-file":
+        (tmp_path / "bad.json").write_bytes(_spoil(stored.read_bytes(), fault))
+        argv = ["ingest", str(tmp_path / "bad.json"), "--store", str(tmp_path / "new")]
+    else:
+        stdin = io.BytesIO(stored.read_bytes() + _spoil(stored.read_bytes(), fault) + b"\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+        argv = ["ingest", "-", "--store", str(tmp_path / "new")]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (6, "")
+    assert err.startswith("error: serp-parse:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdio_is_utf8_whatever_the_locale(tmp_path, child_env, encoding):
+    """A stream line, a stored file and an export are the same bytes."""
+    snapshot = SerpSnapshot(
+        query="straße",
+        vertical=Vertical.GENERAL,
+        date=date(2024, 1, 1),
+        results=results_from_links([("http://ex.com/straße", "Grüße", 1)]),
+    )
+    line = snapshot_to_json(snapshot).encode("utf-8")
+    (tmp_path / "snap.json").write_bytes(line)
+
+    def cli(*argv, stdin=b""):
+        proc = subprocess.run(
+            [sys.executable, "-m", "serpchurn", *argv],
+            input=stdin,
+            capture_output=True,
+            cwd=tmp_path,
+            env=child_env(PYTHONIOENCODING=encoding),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    streamed = cli("ingest", "snap.json", "--store", "-")
+    assert streamed == line
+    cli("ingest", "-", "--store", "col", stdin=streamed)
+    assert (tmp_path / "col" / "snapshots" / "2024-01-01.json").read_bytes() == line
+    listing = cli("timelines", "--store", "col")
+    cli("timelines", "--store", "col", "-o", "timelines.txt")
+    assert listing == (tmp_path / "timelines.txt").read_bytes()
+    assert listing == cli("timelines", "--store", "-", stdin=streamed)
+    assert listing.endswith(" ex.com/straße\n".encode("utf-8"))

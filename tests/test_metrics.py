@@ -333,15 +333,13 @@ class TestTransitions:
         assert est.counts[1][2] == 1
         assert est.counts[0][0] == 1
         assert est.counts[0][1] == 1
-        assert est.prob(2, 0) == 1
-        assert est.prob(0, 1) == Fraction(1, 2)
+        assert est.rows()[2][0] == 1
+        assert est.rows()[0][1] == Fraction(1, 2)
 
     def test_unobserved_rows_stay_undefined(self):
         est = transition_matrix(WORKED_TRIO)
         rows = est.rows()
         assert rows[3] is None and rows[5] is None
-        with pytest.raises(UndefinedRateError):
-            est.prob(3, 3)
 
     def test_pairs_across_missing_day_not_counted(self):
         est = transition_matrix((tl(1, None, 2, 2),))
@@ -499,10 +497,11 @@ class TestReport:
         store.ingest(s08)
         est = transition_matrix(store.build_timelines())
         assert est.total == 50
-        assert est.prob(1, 1) == Fraction(6, 10)
-        assert est.prob(1, 0) == Fraction(1, 10)
-        assert est.prob(4, 4) == Fraction(7, 10)
-        assert est.prob(5, 0) == Fraction(2, 10)
+        rows = est.rows()
+        assert rows[1][1] == Fraction(6, 10)
+        assert rows[1][0] == Fraction(1, 10)
+        assert rows[4][4] == Fraction(7, 10)
+        assert rows[5][0] == Fraction(2, 10)
         assert est.rows()[0] is None
 
     def test_csv_round_trip(self, harvey_snapshots):

@@ -200,6 +200,11 @@ class TestInterchange:
             _LINK_DOC.replace('"http://a.example/x"', "5") % ("1", "1"),
             _LINK_DOC.replace('"a.example/x"', "5") % ("1", "1"),
             _LINK_DOC.replace('"t"', "null") % ("1", "1"),
+            # bytes are UTF-8 only, and no parser limit escapes as another error
+            pytest.param((_LINK_DOC % ("1", "1")).encode("utf-16"), id="utf-16"),
+            pytest.param(_LINK_DOC.replace('"t"', '"caf\xe9"').encode("latin-1") % (b"1", b"1"), id="latin-1"),
+            pytest.param(_LINK_DOC.replace("{", '{"x": %s, ' % ("1" * 5000), 1) % ("1", "1"), id="5000-digits"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
         ],
     )
     def test_malformed_documents_raise(self, text):

@@ -163,7 +163,7 @@ def test_transition_table_marks_unobserved_rows():
 
 
 def test_timeline_listing_uses_brace_notation():
-    text = format_timelines(TLS)
+    text = "".join(format_timelines(TLS))
     assert "{4, 2, -, 0}" in text
     assert "a.example/s" in text
 

@@ -24,7 +24,6 @@ from serpchurn.model import (
 )
 from serpchurn.store import (
     CollectionStore,
-    dump_snapshot_stream,
     open_store,
     store_from_stream,
 )
@@ -212,7 +211,7 @@ class TestStream:
     def test_round_trip(self):
         snaps = [snap(1, [("a", 1)]), snap(2, [("b", 1), ("a", 2)])]
         buf = io.StringIO()
-        dump_snapshot_stream(snaps, buf)
+        buf.writelines(map(snapshot_to_json, snaps))
         assert buf.getvalue().count("\n") == 2
         store = store_from_stream(io.StringIO(buf.getvalue()))
         assert store.manifest.topic == "topic"
@@ -225,7 +224,7 @@ class TestStream:
 
     def test_blank_lines_skipped(self):
         buf = io.StringIO()
-        dump_snapshot_stream([snap(1, [("a", 1)])], buf)
+        buf.write(snapshot_to_json(snap(1, [("a", 1)])))
         text = "\n" + buf.getvalue() + "\n\n"
         store = store_from_stream(io.StringIO(text))
         assert len(store.snapshots) == 1

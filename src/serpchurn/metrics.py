@@ -61,43 +61,49 @@ class RateKind(Enum):
     NEW_STORY = "new_story_rate"
 
 
-def _uri_sets_by_day(
-    store: CollectionStore, page: int | None = None
-) -> dict[date, frozenset[str]]:
-    return {
-        d: snap.canonical_uris(page) for d, snap in store.snapshots.items()
-    }
+def _uri_sets_by_day(store: CollectionStore) -> dict[int | None, dict[date, frozenset[str]]]:
+    """Each day's canonical URIs by page (1-5, or None for all pages); a URI
+    listed twice in one snapshot sits on the page of its first placement."""
+    families = {page: {} for page in (None, *range(1, PAGES_MAX + 1))}
+    for d, snap in store.snapshots.items():
+        first: dict[str, int] = {}
+        for r in snap.results:
+            first.setdefault(r.canonical_uri, r.page)
+        for page, sets in families.items():
+            sets[d] = frozenset(u for u, p in first.items() if page is None or p == page)
+    return families
 
 
-def _interval_mean(
-    sets: dict[date, frozenset[str]], days: int, kind: RateKind
-) -> tuple[Fraction, int] | None:
-    """avg_interval_rate over prebuilt day sets, or None when no anchor pair
-    is usable. The numerators are summed per size of the defining set: one
-    exact Fraction per distinct size, not per pair. A lag longer than the
-    sets' span has no pair, and no date is stepped past the last day, so no
-    lag overflows the calendar."""
+def _interval_means(
+    sets: dict[date, frozenset[str]], days: int
+) -> dict[RateKind, tuple[Fraction, int]]:
+    """avg_interval_rate of each kind with a usable pair, from one walk over
+    the anchor pairs. A kind's numerators are summed per size of its
+    defining set: one exact Fraction per size, not per pair. No date is
+    stepped past the last day, so no lag overflows the calendar."""
     if days < 1:
         raise ValidationError(f"interval must be >= 1 day, got {days}")
     if not sets or days > (max(sets) - min(sets)).days:
-        return None
+        return {}
     lag = timedelta(days=days)
     last_anchor = max(sets) - lag  # within the span, so inside the calendar
-    by_size: dict[int, int] = {}
-    n = 0
+    by_size: dict[RateKind, Counter[int]] = {kind: Counter() for kind in RateKind}
+    n: Counter[RateKind] = Counter()
     for d, here in sets.items():
         if d > last_anchor:
             continue
         later = sets.get(d + lag)
         if later is None:
             continue
-        ref, other = (here, later) if kind is RateKind.REPLACEMENT else (later, here)
-        if ref:
-            by_size[len(ref)] = by_size.get(len(ref), 0) + len(ref - other)
-            n += 1
-    if n == 0:
-        return None
-    return sum(Fraction(gone, size) for size, gone in by_size.items()) / n, n
+        common = len(here & later)
+        for kind, ref in ((RateKind.REPLACEMENT, here), (RateKind.NEW_STORY, later)):
+            if ref:
+                by_size[kind][len(ref)] += len(ref) - common
+                n[kind] += 1
+    return {
+        kind: (sum(Fraction(k, size) for size, k in by_size[kind].items()) / pairs, pairs)
+        for kind, pairs in n.items()
+    }
 
 
 def avg_interval_rate(
@@ -113,12 +119,11 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    mean = _interval_mean(_uri_sets_by_day(store, page), days, kind)
+    sets = _uri_sets_by_day(store).get(page, {})  # no page outside 1-5 holds a link
+    mean = _interval_means(sets, days).get(kind)
     if mean is None:
-        raise InsufficientDataError(
-            f"no usable {days}-day anchor pairs"
-            + (f" on page {page}" if page else "")
-        )
+        on_page = f" on page {page}" if page else ""
+        raise InsufficientDataError(f"no usable {days}-day anchor pairs{on_page}")
     return mean
 
 
@@ -334,20 +339,15 @@ def compute_rates(
 ) -> ChurnReport:
     """The report's rate cells, all pages and each page 1-5; its probability
     cells stay empty. A cell with no usable anchor pair is left out."""
-    replacement: dict[tuple[int, int | None], ReportCell] = {}
-    new_story: dict[tuple[int, int | None], ReportCell] = {}
-    sets_by_page = {page: _uri_sets_by_day(store, page) for page in [None, *range(1, PAGES_MAX + 1)]}
+    cells: dict[RateKind, dict] = {kind: {} for kind in RateKind}  # by (days, page)
+    families = _uri_sets_by_day(store)
     for days in intervals:
-        for kind, sink in (
-            (RateKind.REPLACEMENT, replacement),
-            (RateKind.NEW_STORY, new_story),
-        ):
-            for page, sets in sets_by_page.items():
-                found = _interval_mean(sets, days, kind)
-                if found is not None:
-                    mean, n = found
-                    sink[(days, page)] = ReportCell(float(mean), n)
-    return ChurnReport(store.topic, store.vertical, replacement, new_story, {}, {})
+        for page, sets in families.items():
+            for kind, (mean, n) in _interval_means(sets, days).items():
+                cells[kind][(days, page)] = ReportCell(float(mean), n)
+    return ChurnReport(
+        store.topic, store.vertical, cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY], {}, {}
+    )
 
 
 def refind_cells(

@@ -122,26 +122,17 @@ class SerpSnapshot:
                 )
             last_rank = r.rank
 
-    def canonical_uris(self, page: int | None = None) -> frozenset[str]:
-        """The set of canonical URIs in this snapshot, optionally one page's."""
-        return frozenset(
-            r.canonical_uri for r in self.results if page is None or r.page == page
-        )
-
 
 def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
     """Collapse repeated canonical URIs within one snapshot.
 
-    Keeps the occurrence with the lowest page (ties: lowest rank);
-    survivors retain their original ranks and relative order.
+    Keeps each URI's first placement in rank order, the one every count
+    reads; survivors keep their ranks and relative order.
     """
-    best: dict[str, SerpResult] = {}
+    first: dict[str, SerpResult] = {}
     for r in snapshot.results:
-        cur = best.get(r.canonical_uri)
-        if cur is None or (r.page, r.rank) < (cur.page, cur.rank):
-            best[r.canonical_uri] = r
-    survivors = sorted(best.values(), key=lambda r: r.rank)
-    return replace(snapshot, results=tuple(survivors))
+        first.setdefault(r.canonical_uri, r)
+    return replace(snapshot, results=tuple(first.values()))
 
 
 @dataclass(frozen=True)
@@ -308,19 +299,30 @@ def parse_date(text: str) -> date:
     raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
 
 
+# Strict UTF-8 decoding yields no lone surrogate, so only an escape can.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def read_json(data: str | bytes):
+    """A JSON document's value; bytes are read as UTF-8 only, and a lone
+    surrogate escape such as ``\\ud800`` raises ValueError."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    doc = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a \\u escape names a lone surrogate, which is no character") from None
+    return doc
+
+
 def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
-    """The snapshot a document holds; bytes are read as UTF-8 only. Any fault
-    in decoding, parsing or building raises SerpParseError."""
+    """The snapshot a document holds, read by ``read_json``. Any fault in
+    decoding, parsing or building raises SerpParseError."""
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = read_json(data)
         results = tuple(
-            SerpResult(
-                uri=link["uri"],
-                canonical_uri=link["canonical_uri"],
-                title=link["title"],
-                page=link["page"],
-                rank=link["rank"],
-            )
+            SerpResult(link["uri"], link["canonical_uri"], link["title"], link["page"], link["rank"])
             for link in doc["links"]
         )
         return SerpSnapshot(
@@ -337,15 +339,7 @@ def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
 
 def results_from_links(links: Iterable[tuple[str, str, int]]) -> tuple[SerpResult, ...]:
     """Build ranked results from (uri, title, page) triples in extraction order."""
-    out = []
-    for rank, (uri, title, page) in enumerate(links, start=1):
-        out.append(
-            SerpResult(
-                uri=uri,
-                canonical_uri=canonicalize(uri),
-                title=title,
-                page=page,
-                rank=rank,
-            )
-        )
-    return tuple(out)
+    return tuple(
+        SerpResult(uri=uri, canonical_uri=canonicalize(uri), title=title, page=page, rank=rank)
+        for rank, (uri, title, page) in enumerate(links, start=1)
+    )

@@ -40,9 +40,10 @@ def _guard(store: CollectionStore) -> None:
 
 
 def _day_set(store: CollectionStore, day: date, page: int | None) -> set[str]:
+    """The day's stories, or those whose first placement that day is on ``page``."""
     out = set()
     for r in store.snapshots[day].results:
-        if page is None or r.page == page:
+        if page is None or _page_of(store, day, r.canonical_uri) == page:
             out.add(r.canonical_uri)
     return out
 

@@ -246,7 +246,7 @@ def build_snapshot(
     """Fetch and parse all requested pages for one day into a snapshot.
 
     Pages are fetched in order and the first block interstitial aborts
-    the remainder. Duplicate canonical URIs keep their best placement.
+    the remainder. A canonical URI listed twice keeps its first placement.
     """
     links: list[tuple[str, str, int]] = []
     for page_no in range(1, plan.pages + 1):

@@ -30,6 +30,7 @@ from .model import (
     StoryTimeline,
     Vertical,
     parse_date,
+    read_json,
     snapshot_from_json,
     snapshot_to_json,
 )
@@ -88,7 +89,7 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
     if not manifest_path.is_file():
         raise StoreMissingError(f"no collection at {root}")
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = read_json(manifest_path.read_bytes())
         topic, vertical = doc["topic"], Vertical.from_wire(doc["vertical"])
         if not isinstance(topic, str):
             raise TypeError(f"topic must be a string, got {topic!r}")

@@ -707,6 +707,7 @@ _UNREADABLE = {
     "non-utf-8": b'"caf\xe9"',
     "5000-digits": b"1" * 5000,
     "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+    "lone-surrogate": rb'"\ud800"',
 }
 
 

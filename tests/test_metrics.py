@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from dataclasses import replace
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from serpchurn.metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links
+from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, dedup_snapshot, results_from_links
 from serpchurn.oracle import oracle_report, oracle_transition_counts
 from serpchurn.render import ABSENT_COLOR, PAGE_COLORS, render_temporal_grid
 from serpchurn.store import CollectionStore
@@ -185,6 +186,27 @@ class TestIntervalAveraging:
         store = store_of(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
         with pytest.raises(InsufficientDataError, match=f"no usable {days}-day anchor pairs$"):
             avg_interval_rate(store, days, RateKind.REPLACEMENT)
+
+    @pytest.mark.parametrize("seed, pages", [(1, 5), (2, 3), (3, 5)])
+    def test_each_kind_page_and_lag_matches_the_oracle(self, seed, pages):
+        p = SynthParams(days=20, pages=pages, per_page=3, replacement_rate=0.3, seed=seed)
+        store = generate(p)
+        for i in (4, 5, 11):  # interior days, so the span stays put
+            del store.snapshots[p.start + timedelta(days=i)]
+        # synth lists as many links every day, where both kinds read alike
+        for d in sorted(store.snapshots)[::3]:
+            kept = store.snapshots[d].results[: -(1 + d.day % 4)]
+            store.snapshots[d] = replace(store.snapshots[d], results=kept)
+        want = oracle_report(store, intervals=(1, 2, 7))
+        for kind, cells in ((RateKind.REPLACEMENT, want.replacement), (RateKind.NEW_STORY, want.new_story)):
+            for days in (1, 2, 7):
+                for page in (None, 1, 2, 3, 4, 5):
+                    if (days, page) in cells:
+                        mean, n = avg_interval_rate(store, days, kind, page)
+                        assert (float(mean), n) == (cells[days, page].value, cells[days, page].n)
+                    else:
+                        with pytest.raises(InsufficientDataError):
+                            avg_interval_rate(store, days, kind, page)
 
     def test_no_lag_steps_past_the_calendar(self):
         store = generate(SynthParams(days=12, start=date(9999, 12, 20), seed=3))
@@ -451,6 +473,39 @@ class TestStorePath:
         est = transition_matrix(store.build_timelines())
         assert [list(row) for row in est.counts] == oracle_transition_counts(store)
         assert est.counts[1][2] == 1 and est.counts[1][3] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_scrape_path_and_the_store_path_count_alike(self, data):
+        """A store of raw days, whose links repeat a story at any pages and in
+        any order, counts as the store of the same days deduplicated."""
+        aliases = ("https://{}.example/s", "HTTP://{}.EXAMPLE/s/?utm_source=x", "{}.example/s#top")
+        link = st.tuples(st.sampled_from("abcdef"), st.sampled_from(aliases), st.integers(1, 5))
+        days = data.draw(st.sets(st.integers(1, 9), min_size=1), label="days")
+        raw = [
+            SerpSnapshot(
+                query="topic",
+                vertical=Vertical.GENERAL,
+                date=D(day),
+                results=results_from_links(
+                    (alias.format(h), f"Story {h}", page)
+                    for h, alias, page in data.draw(st.lists(link, max_size=12), label=f"day {day}")
+                ),
+            )
+            for day in sorted(days)
+        ]
+        stores = store_of(*raw), store_of(*map(dedup_snapshot, raw))
+        assert stores[0].build_timelines() == stores[1].build_timelines()
+        want = oracle_report(stores[0])
+        want_counts = oracle_transition_counts(stores[0])
+        for store in stores:
+            assert compute_report(store) == want == oracle_report(store)
+            assert oracle_transition_counts(store) == want_counts
+            try:
+                counts = [list(row) for row in transition_matrix(store.build_timelines()).counts]
+            except InsufficientDataError:
+                counts = [[0] * 6 for _ in range(6)]
+            assert counts == want_counts
 
     def test_report_builds_no_padded_row(self, monkeypatch):
         store = generate(SynthParams(days=6, pages=2, per_page=3, replacement_rate=0.5, seed=3))

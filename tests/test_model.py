@@ -134,8 +134,8 @@ class TestDedup:
         once = dedup_snapshot(snap)
         assert dedup_snapshot(once) == once
 
-    def test_earlier_page_wins_over_rank(self):
-        # lower page beats lower rank when they disagree
+    def test_first_placement_wins_over_a_lower_page(self):
+        # the placement every count reads, even where a later one sits higher
         snap = _snapshot(
             (
                 _result("https://a.example/x?v=1", 2, 11, canonical="a.example/x"),
@@ -143,7 +143,21 @@ class TestDedup:
             )
         )
         out = dedup_snapshot(snap)
-        assert out.results[0].page == 1
+        assert [(r.page, r.rank) for r in out.results] == [(2, 11)]
+
+    def test_survivors_keep_their_order(self):
+        snap = _snapshot(
+            (
+                _result("https://a.example/x", 3, 1),
+                _result("https://b.example/y", 1, 2),
+                _result("https://a.example/x?v=1", 1, 3, canonical="a.example/x"),
+            )
+        )
+        out = dedup_snapshot(snap)
+        assert [(r.canonical_uri, r.page, r.rank) for r in out.results] == [
+            ("a.example/x", 3, 1),
+            ("b.example/y", 1, 2),
+        ]
 
 
 class TestInterchange:
@@ -200,6 +214,8 @@ class TestInterchange:
             _LINK_DOC.replace('"http://a.example/x"', "5") % ("1", "1"),
             _LINK_DOC.replace('"a.example/x"', "5") % ("1", "1"),
             _LINK_DOC.replace('"t"', "null") % ("1", "1"),
+            # a lone surrogate escape, which no UTF-8 text can hold
+            pytest.param(_LINK_DOC.replace('"t"', r'"\ud800"') % ("1", "1"), id="lone-surrogate"),
             # bytes are UTF-8 only, and no parser limit escapes as another error
             pytest.param((_LINK_DOC % ("1", "1")).encode("utf-16"), id="utf-16"),
             pytest.param(_LINK_DOC.replace('"t"', '"caf\xe9"').encode("latin-1") % (b"1", b"1"), id="latin-1"),

@@ -5,6 +5,9 @@ exact; conversion to float happens once, at the report boundary. Days
 without a snapshot never enter a denominator: interval averages skip
 anchors that land on them and probability estimates drop stories whose
 timeline is unobserved at the queried offset.
+
+A store's report reads the store's one calendar walk, and builds no
+timeline; ``_tally`` counts the walk's story sightings or timelines alike.
 """
 
 from __future__ import annotations
@@ -12,15 +15,15 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from dataclasses import dataclass
+from datetime import date
 from enum import Enum
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
 from .model import N_STATES, PAGES_MAX, StoryTimeline, Vertical
-from .store import CollectionStore
+from .store import CollectionStore, Sighting
 
 # -- pairwise set rates ------------------------------------------------
 
@@ -61,48 +64,30 @@ class RateKind(Enum):
     NEW_STORY = "new_story_rate"
 
 
-def _uri_sets_by_day(store: CollectionStore) -> dict[int | None, dict[date, frozenset[str]]]:
-    """Each day's canonical URIs by page (1-5, or None for all pages); a URI
-    listed twice in one snapshot sits on the page of its first placement."""
-    families = {page: {} for page in (None, *range(1, PAGES_MAX + 1))}
-    for d, snap in store.snapshots.items():
-        first: dict[str, int] = {}
-        for r in snap.results:
-            first.setdefault(r.canonical_uri, r.page)
-        for page, sets in families.items():
-            sets[d] = frozenset(u for u, p in first.items() if page is None or p == page)
-    return families
-
-
 def _interval_means(
-    sets: dict[date, frozenset[str]], days: int
+    sets: Sequence[frozenset[str] | None], days: int
 ) -> dict[RateKind, tuple[Fraction, int]]:
     """avg_interval_rate of each kind with a usable pair, from one walk over
-    the anchor pairs. A kind's numerators are summed per size of its
-    defining set: one exact Fraction per size, not per pair. No date is
-    stepped past the last day, so no lag overflows the calendar."""
+    the anchor pairs of a store's day sets (None on a gap day). A kind's
+    numerators are summed per size of its defining set: one exact Fraction
+    per size, not per pair. Counters are kept by position, replacement
+    first, and a lag longer than the calendar has no pair."""
     if days < 1:
         raise ValidationError(f"interval must be >= 1 day, got {days}")
-    if not sets or days > (max(sets) - min(sets)).days:
-        return {}
-    lag = timedelta(days=days)
-    last_anchor = max(sets) - lag  # within the span, so inside the calendar
-    by_size: dict[RateKind, Counter[int]] = {kind: Counter() for kind in RateKind}
-    n: Counter[RateKind] = Counter()
-    for d, here in sets.items():
-        if d > last_anchor:
-            continue
-        later = sets.get(d + lag)
-        if later is None:
+    by_size: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+    n = [0, 0]
+    for here, later in zip(sets, sets[days:]):
+        if here is None or later is None:
             continue
         common = len(here & later)
-        for kind, ref in ((RateKind.REPLACEMENT, here), (RateKind.NEW_STORY, later)):
+        for i, ref in enumerate((here, later)):
             if ref:
-                by_size[kind][len(ref)] += len(ref) - common
-                n[kind] += 1
+                by_size[i][len(ref)] += len(ref) - common
+                n[i] += 1
     return {
-        kind: (sum(Fraction(k, size) for size, k in by_size[kind].items()) / pairs, pairs)
-        for kind, pairs in n.items()
+        kind: (sum(Fraction(k, size) for size, k in sizes.items()) / pairs, pairs)
+        for kind, sizes, pairs in zip(RateKind, by_size, n)
+        if pairs
     }
 
 
@@ -119,7 +104,8 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    sets = _uri_sets_by_day(store).get(page, {})  # no page outside 1-5 holds a link
+    _, day_sets, _ = store._walk()
+    sets = day_sets.get(page, [])  # no page outside 1-5 holds a link
     mean = _interval_means(sets, days).get(kind)
     if mean is None:
         on_page = f" on page {page}" if page else ""
@@ -130,43 +116,47 @@ def avg_interval_rate(
 # -- refind probabilities ----------------------------------------------
 
 
-def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[list[int]]]:
+def _tally(stories: Iterable[StoryTimeline | Sighting]) -> tuple[list[list[int]], list[list[int]]]:
     """Refind rows and transition counts: the one counter behind both.
 
-    Row k of the refind rows counts the timelines in each state 0-5 exactly
+    Row k of the refind rows counts the stories in each state 0-5 exactly
     k days after first seen; unscraped days count nowhere, so a row's sum
     is the number of stories eligible at k.
 
-    Each timeline gives its length n, its page by day offset for the days
-    it sat on a page, and its unscraped offsets. Every other offset below
-    n is state 0, so state-0 cells and (0, 0) pairs are counted by
-    subtraction, never cell by cell.
+    Each story, a timeline or a sighting from the store's walk, gives its
+    length n, its page by day offset for the days it sat on a page, and
+    its unscraped offsets. Every other offset below n is state 0, so state-0
+    cells and (0, 0) pairs are counted by subtraction, never cell by cell;
+    what hangs on n and the unscraped offsets alone is counted once for
+    each group of stories sharing them.
     """
     rows: list[list[int]] = []
-    ends: Counter[int] = Counter()  # ends[n]: timelines of length n
     pairs = [[0] * N_STATES for _ in range(N_STATES)]
-    for t in timelines:
+    groups: dict[tuple[int, frozenset[int]], int] = {}  # stories by (length, unscraped offsets)
+    for t in stories:
         n, pages, unscraped = t.length, t.pages, t.unscraped
-        rows.extend([0] * N_STATES for _ in range(n - len(rows)))
-        ends[n] += 1
-        usable = n - 1  # consecutive pairs with both days scraped
-        for u in unscraped:  # drops (u - 1, u) and, unless u + 1 does, (u, u + 1)
-            rows[u][0] -= 1
-            usable -= 1 + (u + 1 < n and u + 1 not in unscraped)
+        groups[n, unscraped] = groups.get((n, unscraped), 0) + 1
+        if n > len(rows):
+            rows.extend([0] * N_STATES for _ in range(n - len(rows)))
         for k, page in pages.items():
             rows[k][page] += 1
-            rows[k][0] -= 1
             if k + 1 < n and k + 1 not in unscraped:
                 pairs[page][pages.get(k + 1, 0)] += 1
-                usable -= 1
             if k > 0 and k - 1 not in pages and k - 1 not in unscraped:
                 pairs[0][page] += 1
-                usable -= 1
-        pairs[0][0] += usable
+    ends: Counter[int] = Counter()  # ends[n]: stories of length n
+    usable = 0  # consecutive pairs with both days scraped
+    for (n, unscraped), count in groups.items():
+        ends[n] += count
+        usable += count * (n - 1)
+        for u in unscraped:  # drops (u - 1, u) and, unless u + 1 does, (u, u + 1)
+            rows[u][0] -= count
+            usable -= count * (1 + (u + 1 < n and u + 1 not in unscraped))
+    pairs[0][0] = usable - sum(map(sum, pairs))
     alive = 0
     for k in reversed(range(len(rows))):
         alive += ends[k + 1]
-        rows[k][0] += alive
+        rows[k][0] += alive - sum(rows[k][1:])
     return rows, pairs
 
 
@@ -334,27 +324,37 @@ def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, Repor
 DEFAULT_INTERVALS = (1, 7, 30)
 
 
-def compute_rates(
-    store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
-) -> ChurnReport:
-    """The report's rate cells, all pages and each page 1-5; its probability
-    cells stay empty. A cell with no usable anchor pair is left out."""
+def _report(store: CollectionStore, intervals: Iterable[int], refind: bool) -> ChurnReport:
+    """The rate cells at ``intervals``, all pages and each page 1-5, and with
+    ``refind`` the probability cells, all read from one walk of the store.
+    A rate cell with no usable anchor pair is left out."""
+    if refind and not store.snapshots:
+        raise InsufficientDataError("store holds no snapshots")
+    _, day_sets, stories = store._walk(day_sets=bool(intervals))
     cells: dict[RateKind, dict] = {kind: {} for kind in RateKind}  # by (days, page)
-    families = _uri_sets_by_day(store)
     for days in intervals:
-        for page, sets in families.items():
+        for page, sets in day_sets.items():
             for kind, (mean, n) in _interval_means(sets, days).items():
                 cells[kind][(days, page)] = ReportCell(float(mean), n)
+    prob, prob_page = refind_cells(stories.values()) if refind else ({}, {})
     return ChurnReport(
-        store.topic, store.vertical, cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY], {}, {}
+        store.topic, store.vertical, cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY], prob, prob_page
     )
 
 
+def compute_rates(
+    store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
+) -> ChurnReport:
+    """The report's rate cells; its probability cells stay empty."""
+    return _report(store, intervals, refind=False)
+
+
 def refind_cells(
-    timelines: Sequence[StoryTimeline],
+    timelines: Iterable[StoryTimeline | Sighting],
     pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
-    """P(seen) by offset k and its split over ``pages``, in k order.
+    """P(seen) by offset k and its split over ``pages``, in k order, over
+    timelines or a store walk's sightings alike.
 
     Each cell's n is the number of stories eligible at k; offsets where
     none is eligible are left out.
@@ -368,26 +368,22 @@ def refind_cells(
         n = sum(row)
         if n == 0:
             continue
-        prob[k] = ReportCell(float(_seen(row)), n)
+        # int / int is correctly rounded: float(Fraction(a, n)) to the bit, without the Fraction
+        prob[k] = ReportCell((n - row[0]) / n, n)
         for m in page_list:
-            prob_page[(k, m)] = ReportCell(float(Fraction(row[m], n)), n)
+            prob_page[(k, m)] = ReportCell(row[m] / n, n)
     return prob, prob_page
 
 
 def compute_refind(store: CollectionStore) -> ChurnReport:
-    """The report's probability cells, pages 1-5, counted from the store's
-    timelines; its rate cells stay empty."""
-    prob, prob_page = refind_cells(store.build_timelines())
-    return ChurnReport(store.topic, store.vertical, {}, {}, prob, prob_page)
+    """The report's probability cells, pages 1-5; its rate cells stay empty."""
+    return _report(store, (), refind=True)
 
 
 def compute_report(store: CollectionStore) -> ChurnReport:
-    """Every rate at the daily, weekly and monthly lags and every refind probability."""
-    rates = compute_rates(store)
-    refind = compute_refind(store)
-    return replace(
-        rates, prob_seen=refind.prob_seen, prob_seen_page=refind.prob_seen_page
-    )
+    """Every rate at the daily, weekly and monthly lags and every refind
+    probability, from one walk of the store."""
+    return _report(store, DEFAULT_INTERVALS, refind=True)
 
 
 # -- CSV interchange ---------------------------------------------------

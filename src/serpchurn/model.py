@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from enum import Enum
-from typing import Iterable
+from itertools import starmap
+from operator import itemgetter
+from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
 from .errors import SerpParseError, UriParseError
@@ -74,7 +76,7 @@ def canonicalize(uri: str) -> str:
     return netloc + parts.path.rstrip("/")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SerpResult:
     """One extracted result link: where it pointed and where it sat."""
 
@@ -100,7 +102,7 @@ class SerpResult:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SerpSnapshot:
     """All results extracted for one query x vertical x calendar date."""
 
@@ -135,7 +137,7 @@ def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
     return replace(snapshot, results=tuple(first.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoryTimeline:
     """One story's page placements, by day offset from its first-seen day.
 
@@ -180,22 +182,45 @@ class StoryTimeline:
         unscraped = frozenset(k for k, v in enumerate(row) if v is None)
         return cls(canonical_uri, first_seen, len(row), pages, unscraped)
 
+    def spell(self, row: list, at: int, cell: Callable[[int | None, int], object]) -> list:
+        """``row``, spelling offset k as state 0 at ``row[at + k]``, with the pages and
+        then the unscraped offsets patched in as ``cell(state, at + k)``."""
+        for k, page in self.pages.items():
+            row[at + k] = cell(page, at + k)
+        for k in self.unscraped:
+            row[at + k] = cell(None, at + k)
+        return row
+
     @property
     def observations(self) -> tuple[int | None, ...]:
         """The padded row (page, 0, or None for no scrape), built on each access."""
-        row: list[int | None] = [0] * self.length
-        for k, page in self.pages.items():
-            row[k] = page
-        for k in self.unscraped:
-            row[k] = None
-        return tuple(row)
+        return tuple(self.spell([0] * self.length, 0, lambda state, _: state))
 
     def __len__(self) -> int:
         return self.length
 
     def notation(self) -> str:
         """Compact observation-vector form, e.g. ``{4, 2, 0, 0}`` ('-' = no scrape)."""
-        return "{%s}" % ", ".join("-" if v is None else str(v) for v in self.observations)
+        row = self.spell(["0"] * self.length, 0, lambda state, _: "-" if state is None else str(state))
+        return "{%s}" % ", ".join(row)
+
+
+def trusted(cls):
+    """A builder of ``cls``, a frozen slots dataclass of five fields, from
+    values a check has already passed: each is set through its slot, and
+    ``__post_init__`` does not run again."""
+    a, b, c, d, e = (getattr(cls, f.name).__set__ for f in fields(cls))
+
+    def build(v, w, x, y, z):
+        obj = object.__new__(cls)
+        a(obj, v)
+        b(obj, w)
+        c(obj, x)
+        d(obj, y)
+        e(obj, z)
+        return obj
+
+    return build
 
 
 @dataclass(frozen=True)
@@ -321,10 +346,7 @@ def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
     decoding, parsing or building raises SerpParseError."""
     try:
         doc = read_json(data)
-        results = tuple(
-            SerpResult(link["uri"], link["canonical_uri"], link["title"], link["page"], link["rank"])
-            for link in doc["links"]
-        )
+        results = _results_of(doc["links"])
         return SerpSnapshot(
             query=doc["query"],
             vertical=Vertical.from_wire(doc["vertical"]),
@@ -335,6 +357,26 @@ def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
         raise SerpParseError(f"snapshot document is not valid JSON: {e}") from None
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"snapshot document is malformed: {e}") from None
+
+
+_LINK_FIELDS = itemgetter("uri", "canonical_uri", "title", "page", "rank")
+_trusted_result = trusted(SerpResult)
+
+
+def _results_of(links) -> tuple[SerpResult, ...]:
+    """A document's links as results, checked as one batch: if all pass, none is
+    checked again; else SerpResult(...) builds each in turn, and the first
+    faulty link raises as it always did."""
+    try:
+        rows = list(map(_LINK_FIELDS, links))
+    except (KeyError, TypeError):  # a missing key, or a link that is no object
+        rows = []
+    uris, canonical_uris, titles, pages, ranks = tuple(zip(*rows)) or ((),) * 5
+    if rows and {str}.issuperset(map(type, uris + canonical_uris + titles)) and (
+        {int}.issuperset(map(type, pages + ranks)) and _PAGES.issuperset(pages) and min(ranks) >= 1
+    ):
+        return tuple(starmap(_trusted_result, rows))
+    return tuple(SerpResult(*_LINK_FIELDS(link)) for link in links)
 
 
 def results_from_links(links: Iterable[tuple[str, str, int]]) -> tuple[SerpResult, ...]:

@@ -55,21 +55,24 @@ def temporal_grid_lines(matrix: TemporalMatrix) -> Iterator[str]:
         "</pattern>\n"
         "</defs>\n"
     )
-    # each rect is a column's head, the row's y, and the state's tail
-    heads = [f'<rect x="{ci * cell}" y="' for ci in range(matrix.days)]
-    tails = {
-        state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>\n'
+    # each rect is a column's head, the row's y, and the state's tail: a row is
+    # its y joining the first head and, per column, its state's tail and the next head
+    heads = [f'<rect x="{ci * cell}" y="' for ci in range(matrix.days)] + [""]
+    joints = {
+        state: heads[:1] + [
+            f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>\n{head}'
+            for head in heads[1:]
+        ]
         for state, fill in {None: "url(#gap)", 0: ABSENT_COLOR, **PAGE_COLORS}.items()
     }
-    lead = tuple(
-        None if matrix.start + timedelta(days=i) in matrix.gaps else 0
+    lead = heads[:1] + [
+        joints[None if matrix.start + timedelta(days=i) in matrix.gaps else 0][i + 1]
         for i in range(matrix.days)
-    )
+    ]
     for ri, t in enumerate(matrix.timelines):
-        offset = (t.first_seen - matrix.start).days
-        row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - len(t))
-        y = str(ri * cell)
-        yield "".join([head + y + tails[state] for head, state in zip(heads, row)])
+        at = (t.first_seen - matrix.start).days + 1
+        row = lead[:at] + joints[0][at : at + len(t)] + joints[None][at + len(t) :]
+        yield str(ri * cell).join(t.spell(row, at, lambda state, i: joints[state][i]))
     yield "</svg>\n"
 
 

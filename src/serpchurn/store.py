@@ -6,7 +6,8 @@ derived from the snapshots and never read back) and one compact JSON line
 per day under ``snapshots/``. Every write goes through ``ingest``, which
 first refuses a directory holding another topic or vertical. A store
 without a root keeps everything in memory, for synth and stream mode.
-``build_timelines`` reads every story's page placements in one walk.
+One walk over the calendar reads each stored link once, for each day's URI
+sets and each story's sightings; the timelines and every count read it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import tempfile
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     InsufficientDataError,
@@ -25,6 +26,7 @@ from .errors import (
     StoreMissingError,
 )
 from .model import (
+    PAGES_MAX,
     CollectionManifest,
     SerpSnapshot,
     StoryTimeline,
@@ -33,6 +35,7 @@ from .model import (
     read_json,
     snapshot_from_json,
     snapshot_to_json,
+    trusted,
 )
 
 MANIFEST_NAME = "collection.json"
@@ -96,6 +99,14 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
         return topic, vertical
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
+
+
+class Sighting(NamedTuple):
+    """What the counters read of a story, as of a StoryTimeline."""
+
+    length: int
+    pages: dict[int, int]  # page by offset
+    unscraped: frozenset[int]
 
 
 class CollectionStore:
@@ -182,36 +193,56 @@ class CollectionStore:
         }
         return total, len(uniq), len(self.manifest.calendar)
 
+    def _walk(self, day_sets: bool = True) -> tuple[tuple[date, ...], dict, dict[str, Sighting]]:
+        """The calendar, each day's URI sets by page (None for all pages; a
+        set is None on a gap day, and with no ``day_sets`` there are none) and
+        each story's sighting by URI, in first-seen order: one pass over
+        every stored link, which counts at its first placement that day."""
+        days = self.manifest.calendar
+        families = (None, *range(1, PAGES_MAX + 1)) if day_sets else ()
+        sets: dict[int | None, list] = {page: [None] * len(days) for page in families}
+        stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
+        gaps: list[int] = []
+        for idx, day in enumerate(days):
+            snap = self.snapshots.get(day)
+            if snap is None:
+                gaps.append(idx)
+                continue
+            on_page = {page: [] for page in range(1, PAGES_MAX + 1)}
+            for r in snap.results:
+                story = stories.get(r.canonical_uri)
+                if story is None:
+                    stories[r.canonical_uri] = (idx, {0: r.page})
+                elif idx - story[0] in story[1]:
+                    continue  # listed earlier today
+                else:
+                    story[1][idx - story[0]] = r.page
+                on_page[r.page].append(r.canonical_uri)
+            if day_sets:
+                sets[None][idx] = frozenset().union(*on_page.values())
+                for page, uris in on_page.items():
+                    sets[page][idx] = frozenset(uris)
+        after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
+        sightings = {uri: Sighting(len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()}
+        return days, sets, sightings
+
     def build_timelines(self) -> tuple[StoryTimeline, ...]:
         """Every story's timeline, ordered by (first_seen, canonical_uri).
 
         A story's timeline starts the day it first appears and runs to the
         last date the store covers; days without a snapshot are unscraped.
         A URI listed twice in one snapshot counts at its first placement.
-        Stories first seen on the same day share one unscraped set.
+        Stories first seen on the same day share one unscraped set. The
+        store's snapshots were checked, so the timelines are not.
         """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
-        days = self.manifest.calendar
-        gaps: list[int] = []
-        stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
-        for idx, day in enumerate(days):
-            snap = self.snapshots.get(day)
-            if snap is None:
-                gaps.append(idx)
-                continue
-            for r in snap.results:
-                story = stories.get(r.canonical_uri)
-                if story is None:
-                    stories[r.canonical_uri] = (idx, {0: r.page})
-                else:
-                    story[1].setdefault(idx - story[0], r.page)
-        after: dict[int, frozenset[int]] = {}  # unscraped offsets by first index
-        timelines = []
-        for uri, (first, pages) in sorted(stories.items(), key=lambda kv: (kv[1][0], kv[0])):
-            unscraped = after.setdefault(first, frozenset(g - first for g in gaps if g > first))
-            timelines.append(StoryTimeline(uri, days[first], len(days) - first, pages, unscraped))
-        return tuple(timelines)
+        days, _, stories = self._walk(day_sets=False)
+        timeline = trusted(StoryTimeline)
+        return tuple(
+            timeline(uri, days[len(days) - s.length], *s)
+            for uri, s in sorted(stories.items(), key=lambda kv: (-kv[1].length, kv[0]))
+        )
 
 
 def open_store(root: Path) -> CollectionStore:

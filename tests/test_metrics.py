@@ -14,6 +14,7 @@ from serpchurn.metrics import (
     RateKind,
     _tally,
     avg_interval_rate,
+    compute_rates,
     compute_refind,
     compute_report,
     new_story_rate,
@@ -56,6 +57,30 @@ def store_of(*snaps):
 
 def tl(*obs, uri="x.example/s", first=D(1)):
     return StoryTimeline.from_observations(uri, first, obs)
+
+
+_ALIASES = ("https://{}.example/s", "HTTP://{}.EXAMPLE/s/?utm_source=x", "{}.example/s#top")
+
+
+@st.composite
+def messy_days(draw, span=9):
+    """Raw snapshots of some of ``span`` days, gaps and empty days included,
+    whose links repeat a story in three alias spellings at any pages and in
+    any order."""
+    link = st.tuples(st.sampled_from("abcdef"), st.sampled_from(_ALIASES), st.integers(1, 5))
+    days = draw(st.sets(st.integers(1, span), min_size=1), label="days")
+    return [
+        SerpSnapshot(
+            query="topic",
+            vertical=Vertical.GENERAL,
+            date=D(day),
+            results=results_from_links(
+                (alias.format(h), f"Story {h}", page)
+                for h, alias, page in draw(st.lists(link, max_size=12), label=f"day {day}")
+            ),
+        )
+        for day in sorted(days)
+    ]
 
 
 class TestPairwiseRates:
@@ -475,25 +500,10 @@ class TestStorePath:
         assert est.counts[1][2] == 1 and est.counts[1][3] == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_the_scrape_path_and_the_store_path_count_alike(self, data):
+    @given(messy_days())
+    def test_the_scrape_path_and_the_store_path_count_alike(self, raw):
         """A store of raw days, whose links repeat a story at any pages and in
         any order, counts as the store of the same days deduplicated."""
-        aliases = ("https://{}.example/s", "HTTP://{}.EXAMPLE/s/?utm_source=x", "{}.example/s#top")
-        link = st.tuples(st.sampled_from("abcdef"), st.sampled_from(aliases), st.integers(1, 5))
-        days = data.draw(st.sets(st.integers(1, 9), min_size=1), label="days")
-        raw = [
-            SerpSnapshot(
-                query="topic",
-                vertical=Vertical.GENERAL,
-                date=D(day),
-                results=results_from_links(
-                    (alias.format(h), f"Story {h}", page)
-                    for h, alias, page in data.draw(st.lists(link, max_size=12), label=f"day {day}")
-                ),
-            )
-            for day in sorted(days)
-        ]
         stores = store_of(*raw), store_of(*map(dedup_snapshot, raw))
         assert stores[0].build_timelines() == stores[1].build_timelines()
         want = oracle_report(stores[0])
@@ -506,6 +516,39 @@ class TestStorePath:
             except InsufficientDataError:
                 counts = [[0] * 6 for _ in range(6)]
             assert counts == want_counts
+
+    @settings(max_examples=250, deadline=None)
+    @given(messy_days(span=15))
+    def test_the_walk_and_the_timelines_count_alike(self, raw):
+        """The report counts from the store's walk, ``prob`` and ``transitions``
+        from its timelines: one counter, fed both ways, gives the same cells."""
+        store = store_of(*raw)
+        timelines = store.build_timelines()
+        prob, prob_page = refind_cells(timelines)
+        report = compute_report(store)
+        assert (report.prob_seen, report.prob_seen_page) == (prob, prob_page)
+        assert compute_refind(store) == replace(report, replacement={}, new_story={})
+        assert compute_rates(store) == replace(report, prob_seen={}, prob_seen_page={})
+        sightings = store._walk()[2]
+        assert sightings == {t.canonical_uri: (len(t), t.pages, t.unscraped) for t in timelines}
+        rows, counts = _tally(sightings.values())
+        assert rows == _tally(timelines)[0]
+        try:
+            assert [list(row) for row in transition_matrix(timelines).counts] == counts
+        except InsufficientDataError:
+            assert sum(map(sum, counts)) == 0
+
+    def test_store_timelines_are_not_checked_again(self, monkeypatch):
+        store = generate(SynthParams(days=8, pages=2, per_page=3, replacement_rate=0.5, seed=4))
+        want = store.build_timelines()
+
+        def refuse(self):
+            raise AssertionError("a timeline built from a checked store was checked again")
+
+        monkeypatch.setattr(StoryTimeline, "__post_init__", refuse)
+        assert store.build_timelines() == want
+        with pytest.raises(AssertionError):
+            tl(1, 0)  # the public constructor still checks
 
     def test_report_builds_no_padded_row(self, monkeypatch):
         store = generate(SynthParams(days=6, pages=2, per_page=3, replacement_rate=0.5, seed=3))

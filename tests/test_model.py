@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import pytest
@@ -230,3 +231,107 @@ class TestInterchange:
     def test_notation(self):
         t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t.notation() == "{4, 2, -, 0}"
+
+
+def _link(**fields):
+    return {"uri": "http://a.example/x", "canonical_uri": "a.example/x", "title": "t", "page": 1, "rank": 1, **fields}
+
+
+def _without(key, **fields):
+    link = _link(**fields)
+    del link[key]
+    return link
+
+
+# links, query, and the message both the document reader and the constructors give
+_FAULTY = {
+    "true-page": ([_link(page=True)], "q", "page and rank must be ints, got True and 1"),
+    "float-rank": ([_link(rank=2.0)], "q", "page and rank must be ints, got 1 and 2.0"),
+    "page-0": ([_link(page=0)], "q", "page must be in [1, 5], got 0"),
+    "page-6": ([_link(page=6)], "q", "page must be in [1, 5], got 6"),
+    "rank-0": ([_link(rank=0)], "q", "rank must be >= 1, got 0"),
+    "equal-rank": ([_link(), _link(rank=1)], "q", "ranks must be strictly increasing, got 1 after 1"),
+    "falling-rank": ([_link(rank=3), _link(rank=2)], "q", "ranks must be strictly increasing, got 2 after 3"),
+    "uri": ([_link(uri=5)], "q", "uri must be a string, got 5"),
+    "canonical_uri": ([_link(canonical_uri=None)], "q", "canonical_uri must be a string, got None"),
+    "title": ([_link(title=["t"])], "q", "title must be a string, got ['t']"),
+    "query": ([_link()], 5, "query must be a string, got 5"),
+    "query-before-ranks": ([_link(rank=3), _link(rank=2)], 5, "query must be a string, got 5"),
+    "first-faulty-link": ([_link(rank=2), _link(page=7, rank=1), _link(uri=5)], "q", "page must be in [1, 5], got 7"),
+    "fault-before-a-missing-key": ([_link(title=1), _without("rank")], "q", "title must be a string, got 1"),
+}
+
+# links and document keys whose absence the reader reports by name
+_MISSING = {
+    **{f"link-{key}": ([_link(), _without(key, rank=2)], key) for key in _link()},
+    "missing-key-before-a-fault": ([_without("page"), _link(page=9)], "page"),
+}
+
+
+class TestLoadBoundary:
+    """A document's links are checked as one batch, with the constructors' words."""
+
+    @staticmethod
+    def _doc(links, query="q", drop=None):
+        doc = {"query": query, "vertical": "general", "date": "2024-01-01", "links": links}
+        doc.pop(drop, None)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("links, query, message", _FAULTY.values(), ids=_FAULTY)
+    def test_a_faulty_document_reads_as_its_constructors_build(self, links, query, message):
+        with pytest.raises(SerpParseError, match=f"^snapshot document is malformed: {re.escape(message)}$"):
+            snapshot_from_json(self._doc(links, query))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            results = tuple(
+                SerpResult(link["uri"], link["canonical_uri"], link["title"], link["page"], link["rank"])
+                for link in links
+            )
+            SerpSnapshot(query, Vertical.GENERAL, date(2024, 1, 1), results)
+
+    @pytest.mark.parametrize("links, key", _MISSING.values(), ids=_MISSING)
+    def test_a_missing_link_key_is_named(self, links, key):
+        with pytest.raises(SerpParseError, match=f"^snapshot document is malformed: '{key}'$"):
+            snapshot_from_json(self._doc(links))
+
+    @pytest.mark.parametrize("key", ["query", "vertical", "date", "links"])
+    def test_a_missing_document_key_is_named(self, key):
+        with pytest.raises(SerpParseError, match=f"^snapshot document is malformed: '{key}'$"):
+            snapshot_from_json(self._doc([_link()], drop=key))
+
+    @pytest.mark.parametrize("links", [5, "links", {"uri": "x"}, [5], [["uri"]]], ids=repr)
+    def test_links_that_are_no_objects_are_malformed(self, links):
+        want = None
+        try:
+            [link["uri"] for link in links]
+        except TypeError as e:
+            want = str(e)
+        with pytest.raises(SerpParseError, match=f"^snapshot document is malformed: {re.escape(want)}$"):
+            snapshot_from_json(self._doc(links))
+
+    def test_a_loaded_snapshot_is_its_constructed_twin(self):
+        snap = SerpSnapshot(
+            query="q",
+            vertical=Vertical.NEWS,
+            date=date(2024, 1, 1),
+            results=results_from_links(
+                [("https://a.example/x", "A", 1), ("http://b.example/y/", "B", 3), ("https://a.example/x", "A", 5)]
+            ),
+        )
+        loaded = snapshot_from_json(snapshot_to_json(snap))
+        assert loaded == snap and hash(loaded) == hash(snap)
+        assert [type(r) for r in loaded.results] == [SerpResult] * 3
+        assert snapshot_from_json(self._doc([])) == SerpSnapshot("q", Vertical.GENERAL, date(2024, 1, 1), ())
+
+    def test_a_clean_document_checks_no_link_twice(self, monkeypatch):
+        text = self._doc([_link(), _link(uri="http://b.example/y", canonical_uri="b.example/y", page=2, rank=4)])
+
+        def refuse(self):
+            raise AssertionError("a loaded link was checked one by one")
+
+        monkeypatch.setattr(SerpResult, "__post_init__", refuse)
+        assert [(r.canonical_uri, r.page, r.rank) for r in snapshot_from_json(text).results] == [
+            ("a.example/x", 1, 1),
+            ("b.example/y", 2, 4),
+        ]
+        with pytest.raises(AssertionError):
+            SerpResult("http://a.example/x", "a.example/x", "t", 1, 1)  # the constructor still checks

@@ -1,7 +1,9 @@
 import hashlib
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from serpchurn.fitting import fit_exponential
 from serpchurn.metrics import (
@@ -11,6 +13,7 @@ from serpchurn.metrics import (
 )
 from serpchurn.model import StoryTimeline
 from serpchurn.render import (
+    ABSENT_COLOR,
     PAGE_COLORS,
     format_compare,
     format_prob_table,
@@ -20,6 +23,7 @@ from serpchurn.render import (
     render_fit_curve,
     render_page_rate_bars,
     render_temporal_grid,
+    temporal_grid_lines,
 )
 from serpchurn.synth import SynthParams, generate
 
@@ -120,6 +124,74 @@ def test_grid_holds_one_row_at_a_time():
         tracemalloc.stop()
     assert svg.count("<rect") == len(timelines) * 30
     assert peak <= 2.5 * len(svg)
+
+
+def reference_grid_lines(matrix):
+    """The grid spelled cell by cell from each timeline's padded row: the
+    header, one string per story row, then the closing tag."""
+    cell = 12
+    rows = len(matrix.timelines)
+    width = matrix.days * cell if rows else 0
+    height = rows * cell
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        "<defs>\n"
+        '<pattern id="gap" width="6" height="6" patternUnits="userSpaceOnUse">\n'
+        '<line x1="0" y1="6" x2="6" y2="0" stroke="#999999" stroke-width="1"/>\n'
+        "</pattern>\n"
+        "</defs>\n"
+    )
+    heads = [f'<rect x="{ci * cell}" y="' for ci in range(matrix.days)]
+    tails = {
+        state: f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>\n'
+        for state, fill in {None: "url(#gap)", 0: ABSENT_COLOR, **PAGE_COLORS}.items()
+    }
+    lead = tuple(
+        None if matrix.start + timedelta(days=i) in matrix.gaps else 0
+        for i in range(matrix.days)
+    )
+    for ri, t in enumerate(matrix.timelines):
+        offset = (t.first_seen - matrix.start).days
+        row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - len(t))
+        y = str(ri * cell)
+        yield "".join([head + y + tails[state] for head, state in zip(heads, row)])
+    yield "</svg>\n"
+
+
+@st.composite
+def grids(draw):
+    """A span of 1-12 days with any gap days, and timelines through the public
+    constructor that start at any offset, may end before the span does, and
+    hold pages, state 0 and unscraped offsets in any order."""
+    days = draw(st.integers(1, 12), label="days")
+    start = D(1)
+    gaps = draw(st.sets(st.integers(0, days - 1)), label="gaps")
+    timelines = []
+    for i in range(draw(st.integers(0, 6), label="stories")):
+        offset = draw(st.integers(0, days - 1))
+        rest = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=days - offset - 1))
+        row = (draw(st.integers(1, 5)), *rest)
+        timelines.append(StoryTimeline.from_observations(f"s{i}.example/x", start + timedelta(days=offset), row))
+    return temporal_matrix(
+        timelines, start=start, days=days, gaps=frozenset(start + timedelta(days=g) for g in gaps)
+    )
+
+
+@settings(max_examples=300)
+@given(grids())
+def test_grid_rows_match_the_cell_by_cell_reference(matrix):
+    assert list(temporal_grid_lines(matrix)) == list(reference_grid_lines(matrix))
+
+
+def test_the_reference_draws_the_pinned_grids():
+    store = generate(SynthParams(days=10, pages=2, per_page=5, replacement_rate=0.3, seed=42))
+    m = store.manifest
+    matrix = temporal_matrix(store.build_timelines(), start=m.start_date, days=len(m.calendar), gaps=m.gaps)
+    assert _sha256("".join(reference_grid_lines(matrix))) == (
+        "d4353cb2c6b097822f7c8996f27d49e95296240322d9f5e3c6ff1129eac015d1"
+    )
+    assert "".join(reference_grid_lines(MATRIX)) == render_temporal_grid(MATRIX)
 
 
 def test_bar_chart_one_bar_per_page():

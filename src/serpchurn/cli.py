@@ -241,6 +241,8 @@ def _cmd_transitions(args) -> str:
 
 
 def _cmd_fit(args) -> None:
+    if args.max_k is not None and args.max_k < 0:
+        raise ValidationError(f"--max-k must be >= 0, got {args.max_k}")
     store = _load_store(args)
     m = store.manifest
     if args.vertical and Vertical.from_wire(args.vertical) is not m.vertical:
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the refind decay model")
     p.add_argument("--vertical", choices=["general", "news"], default=None)
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=int, default=None, help="last day offset fitted (default: the span's)")
     add_store(p)
     add_output(p)
     p.set_defaults(func=_cmd_fit)

@@ -6,8 +6,8 @@ without a snapshot never enter a denominator: interval averages skip
 anchors that land on them and probability estimates drop stories whose
 timeline is unobserved at the queried offset.
 
-A store's report reads the store's one calendar walk, and builds no
-timeline; ``_tally`` counts the walk's story sightings or timelines alike.
+A store's report reads the store's one calendar walk: its day sets for the
+rates, and its story timelines, which ``_tally`` counts, for the refind cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
 from .model import N_STATES, PAGES_MAX, StoryTimeline, Vertical
-from .store import CollectionStore, Sighting
+from .store import CollectionStore
 
 # -- pairwise set rates ------------------------------------------------
 
@@ -104,7 +104,7 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    _, day_sets, _ = store._walk()
+    day_sets, _ = store._walk()
     sets = day_sets.get(page, [])  # no page outside 1-5 holds a link
     mean = _interval_means(sets, days).get(kind)
     if mean is None:
@@ -116,24 +116,24 @@ def avg_interval_rate(
 # -- refind probabilities ----------------------------------------------
 
 
-def _tally(stories: Iterable[StoryTimeline | Sighting]) -> tuple[list[list[int]], list[list[int]]]:
+def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[list[int]]]:
     """Refind rows and transition counts: the one counter behind both.
 
     Row k of the refind rows counts the stories in each state 0-5 exactly
     k days after first seen; unscraped days count nowhere, so a row's sum
     is the number of stories eligible at k.
 
-    Each story, a timeline or a sighting from the store's walk, gives its
-    length n, its page by day offset for the days it sat on a page, and
-    its unscraped offsets. Every other offset below n is state 0, so state-0
-    cells and (0, 0) pairs are counted by subtraction, never cell by cell;
-    what hangs on n and the unscraped offsets alone is counted once for
-    each group of stories sharing them.
+    Each story's timeline gives its length n, its page by day offset for
+    the days it sat on a page, and its unscraped offsets. Every other
+    offset below n is state 0, so state-0 cells and (0, 0) pairs are
+    counted by subtraction, never cell by cell; what hangs on n and the
+    unscraped offsets alone is counted once for each group of stories
+    sharing them.
     """
     rows: list[list[int]] = []
     pairs = [[0] * N_STATES for _ in range(N_STATES)]
     groups: dict[tuple[int, frozenset[int]], int] = {}  # stories by (length, unscraped offsets)
-    for t in stories:
+    for t in timelines:
         n, pages, unscraped = t.length, t.pages, t.unscraped
         groups[n, unscraped] = groups.get((n, unscraped), 0) + 1
         if n > len(rows):
@@ -330,13 +330,13 @@ def _report(store: CollectionStore, intervals: Iterable[int], refind: bool) -> C
     A rate cell with no usable anchor pair is left out."""
     if refind and not store.snapshots:
         raise InsufficientDataError("store holds no snapshots")
-    _, day_sets, stories = store._walk(day_sets=bool(intervals))
+    day_sets, timelines = store._walk(day_sets=bool(intervals))
     cells: dict[RateKind, dict] = {kind: {} for kind in RateKind}  # by (days, page)
     for days in intervals:
         for page, sets in day_sets.items():
             for kind, (mean, n) in _interval_means(sets, days).items():
                 cells[kind][(days, page)] = ReportCell(float(mean), n)
-    prob, prob_page = refind_cells(stories.values()) if refind else ({}, {})
+    prob, prob_page = refind_cells(timelines) if refind else ({}, {})
     return ChurnReport(
         store.topic, store.vertical, cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY], prob, prob_page
     )
@@ -350,11 +350,10 @@ def compute_rates(
 
 
 def refind_cells(
-    timelines: Iterable[StoryTimeline | Sighting],
+    timelines: Iterable[StoryTimeline],
     pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
-    """P(seen) by offset k and its split over ``pages``, in k order, over
-    timelines or a store walk's sightings alike.
+    """P(seen) by offset k and its split over ``pages``, in k order.
 
     Each cell's n is the number of stories eligible at k; offsets where
     none is eligible are left out.

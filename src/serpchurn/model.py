@@ -171,17 +171,6 @@ class StoryTimeline:
         if both:
             raise ValueError(f"offsets {sorted(both)} are both pages and unscraped")
 
-    @classmethod
-    def from_observations(
-        cls, canonical_uri: str, first_seen: date, row: Iterable[int | None]
-    ) -> "StoryTimeline":
-        """The timeline of a spelled-out row: a page, 0 or None for each day."""
-        row = tuple(row)
-        # offset 0 goes in whatever it holds, so that __post_init__ checks it
-        pages = {k: v for k, v in enumerate(row) if k == 0 or v not in (None, 0)}
-        unscraped = frozenset(k for k, v in enumerate(row) if v is None)
-        return cls(canonical_uri, first_seen, len(row), pages, unscraped)
-
     def spell(self, row: list, at: int, cell: Callable[[int | None, int], object]) -> list:
         """``row``, spelling offset k as state 0 at ``row[at + k]``, with the pages and
         then the unscraped offsets patched in as ``cell(state, at + k)``."""

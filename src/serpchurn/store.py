@@ -7,7 +7,7 @@ per day under ``snapshots/``. Every write goes through ``ingest``, which
 first refuses a directory holding another topic or vertical. A store
 without a root keeps everything in memory, for synth and stream mode.
 One walk over the calendar reads each stored link once, for each day's URI
-sets and each story's sightings; the timelines and every count read it.
+sets and each story's ``StoryTimeline``; every count reads what it builds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import os
 import tempfile
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .errors import (
     InsufficientDataError,
@@ -99,14 +100,6 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
         return topic, vertical
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"manifest at {manifest_path} is malformed: {e}") from None
-
-
-class Sighting(NamedTuple):
-    """What the counters read of a story, as of a StoryTimeline."""
-
-    length: int
-    pages: dict[int, int]  # page by offset
-    unscraped: frozenset[int]
 
 
 class CollectionStore:
@@ -193,11 +186,13 @@ class CollectionStore:
         }
         return total, len(uniq), len(self.manifest.calendar)
 
-    def _walk(self, day_sets: bool = True) -> tuple[tuple[date, ...], dict, dict[str, Sighting]]:
-        """The calendar, each day's URI sets by page (None for all pages; a
-        set is None on a gap day, and with no ``day_sets`` there are none) and
-        each story's sighting by URI, in first-seen order: one pass over
-        every stored link, which counts at its first placement that day."""
+    def _walk(self, day_sets: bool = True) -> tuple[dict, list[StoryTimeline]]:
+        """Each day's URI sets by page (None for all pages; a set is None on a
+        gap day, and with no ``day_sets`` there are none) and each story's
+        timeline, in first-seen order: one pass over every stored link, which
+        counts at its first placement that day. Stories first seen on the same
+        day share one unscraped set. The store's snapshots were checked, so
+        the timelines are not."""
         days = self.manifest.calendar
         families = (None, *range(1, PAGES_MAX + 1)) if day_sets else ()
         sets: dict[int | None, list] = {page: [None] * len(days) for page in families}
@@ -223,26 +218,21 @@ class CollectionStore:
                 for page, uris in on_page.items():
                     sets[page][idx] = frozenset(uris)
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
-        sightings = {uri: Sighting(len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()}
-        return days, sets, sightings
+        timeline = trusted(StoryTimeline)
+        timelines = [timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()]
+        return sets, timelines
 
     def build_timelines(self) -> tuple[StoryTimeline, ...]:
-        """Every story's timeline, ordered by (first_seen, canonical_uri).
+        """Every story's timeline from the store's walk, ordered by
+        (first_seen, canonical_uri).
 
         A story's timeline starts the day it first appears and runs to the
         last date the store covers; days without a snapshot are unscraped.
         A URI listed twice in one snapshot counts at its first placement.
-        Stories first seen on the same day share one unscraped set. The
-        store's snapshots were checked, so the timelines are not.
         """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
-        days, _, stories = self._walk(day_sets=False)
-        timeline = trusted(StoryTimeline)
-        return tuple(
-            timeline(uri, days[len(days) - s.length], *s)
-            for uri, s in sorted(stories.items(), key=lambda kv: (-kv[1].length, kv[0]))
-        )
+        return tuple(sorted(self._walk(day_sets=False)[1], key=attrgetter("first_seen", "canonical_uri")))
 
 
 def open_store(root: Path) -> CollectionStore:

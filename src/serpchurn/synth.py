@@ -34,10 +34,6 @@ from .store import CollectionStore
 
 Kernel = tuple[tuple[float, ...], ...]
 
-IDENTITY_KERNEL: Kernel = tuple(
-    tuple(1.0 if i == j else 0.0 for j in range(N_STATES)) for i in range(N_STATES)
-)
-
 _ROW_SUM_TOL = 1e-9
 
 

@@ -289,6 +289,19 @@ def test_fit_model_document(capsys, synth_store):
     assert "store-mismatch" in err
 
 
+@pytest.mark.parametrize(
+    "max_k, code, err",
+    [
+        ("-1", 2, "error: validation: --max-k must be >= 0, got -1\n"),
+        ("2", 4, "error: insufficient-data: need at least 4 points, got 3\n"),
+    ],
+    ids=["negative", "three-points"],
+)
+def test_fit_max_k_too_small_exits(capsys, synth_store, max_k, code, err):
+    capsys.readouterr()
+    assert run(capsys, "fit", "--max-k", max_k, "--store", str(synth_store)) == (code, "", err)
+
+
 def test_prob_table(capsys, synth_store):
     code, out, _ = run(capsys, "prob", "--store", str(synth_store))
     assert code == 0

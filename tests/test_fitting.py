@@ -13,7 +13,9 @@ from serpchurn.fitting import (
     model_doc,
     refind_points,
 )
-from serpchurn.model import StoryTimeline, Vertical
+from serpchurn.model import Vertical
+
+from builders import from_observations
 
 
 def curve(a, b, c, n=21):
@@ -140,8 +142,8 @@ def test_algebraic_form():
 
 def test_refind_points_skip_unobservable_days():
     tls = (
-        StoryTimeline.from_observations("a.example/s", date(2024, 1, 1), (1, None, 0, 1)),
-        StoryTimeline.from_observations("b.example/s", date(2024, 1, 2), (2, None, 1, 0)),
+        from_observations("a.example/s", date(2024, 1, 1), (1, None, 0, 1)),
+        from_observations("b.example/s", date(2024, 1, 2), (2, None, 1, 0)),
     )
     pts = refind_points(tls, 5)
     assert [k for k, _ in pts] == [0, 2, 3]
@@ -160,7 +162,7 @@ def test_fit_from_timelines_smoke():
         for k in range(1, 12):
             p = a + b * math.exp(-c * k)
             obs.append(1 if (i % 100) < round(p * 100) else 0)
-        tls.append(StoryTimeline.from_observations(f"s{i}.example/x", date(2024, 1, 1), tuple(obs)))
+        tls.append(from_observations(f"s{i}.example/x", date(2024, 1, 1), tuple(obs)))
     m = fit_exponential(refind_points(tuple(tls), 11))
     assert abs(m.a - a) < 0.05 and abs(m.c - c) < 0.25
 

@@ -34,6 +34,8 @@ from serpchurn.render import ABSENT_COLOR, PAGE_COLORS, render_temporal_grid
 from serpchurn.store import CollectionStore
 from serpchurn.synth import SynthParams, generate
 
+from builders import from_observations
+
 D = lambda day: date(2024, 1, day)
 
 
@@ -56,7 +58,7 @@ def store_of(*snaps):
 
 
 def tl(*obs, uri="x.example/s", first=D(1)):
-    return StoryTimeline.from_observations(uri, first, obs)
+    return from_observations(uri, first, obs)
 
 
 _ALIASES = ("https://{}.example/s", "HTTP://{}.EXAMPLE/s/?utm_source=x", "{}.example/s#top")
@@ -291,7 +293,7 @@ obs_strategy = st.tuples(
 
 timelines_strategy = st.lists(obs_strategy, min_size=1, max_size=12).map(
     lambda rows: tuple(
-        StoryTimeline.from_observations(f"s{i}.example/x", D(1), row) for i, row in enumerate(rows)
+        from_observations(f"s{i}.example/x", D(1), row) for i, row in enumerate(rows)
     )
 )
 
@@ -342,7 +344,7 @@ long_rows = st.tuples(
 
 long_timelines = st.lists(long_rows, min_size=1, max_size=12).map(
     lambda rows: tuple(
-        StoryTimeline.from_observations(f"s{i}.example/x", D(1), row)
+        from_observations(f"s{i}.example/x", D(1), row)
         for i, row in enumerate(rows)
     )
 )
@@ -351,7 +353,7 @@ long_timelines = st.lists(long_rows, min_size=1, max_size=12).map(
 @settings(max_examples=300)
 @given(st.one_of(obs_strategy, long_rows))
 def test_a_row_survives_the_sparse_form(row):
-    t = StoryTimeline.from_observations("x.example/s", D(1), row)
+    t = from_observations("x.example/s", D(1), row)
     assert t.observations == row
     assert len(t) == len(row)
     assert t.notation() == "{" + ", ".join("-" if v is None else str(v) for v in row) + "}"
@@ -466,7 +468,7 @@ class TestStorePath:
             del store.snapshots[p.start + timedelta(days=i)]
         built = store.build_timelines()
         rebuilt = tuple(
-            StoryTimeline.from_observations(t.canonical_uri, t.first_seen, t.observations)
+            from_observations(t.canonical_uri, t.first_seen, t.observations)
             for t in built
         )
         assert rebuilt == built
@@ -520,8 +522,9 @@ class TestStorePath:
     @settings(max_examples=250, deadline=None)
     @given(messy_days(span=15))
     def test_the_walk_and_the_timelines_count_alike(self, raw):
-        """The report counts from the store's walk, ``prob`` and ``transitions``
-        from its timelines: one counter, fed both ways, gives the same cells."""
+        """The report counts the walk's timelines as they come, ``prob`` and
+        ``transitions`` the sorted ones ``build_timelines`` returns: they are
+        the same timelines, and give the same cells."""
         store = store_of(*raw)
         timelines = store.build_timelines()
         prob, prob_page = refind_cells(timelines)
@@ -529,9 +532,9 @@ class TestStorePath:
         assert (report.prob_seen, report.prob_seen_page) == (prob, prob_page)
         assert compute_refind(store) == replace(report, replacement={}, new_story={})
         assert compute_rates(store) == replace(report, prob_seen={}, prob_seen_page={})
-        sightings = store._walk()[2]
-        assert sightings == {t.canonical_uri: (len(t), t.pages, t.unscraped) for t in timelines}
-        rows, counts = _tally(sightings.values())
+        walked = store._walk()[1]
+        assert tuple(sorted(walked, key=lambda t: (t.first_seen, t.canonical_uri))) == timelines
+        rows, counts = _tally(walked)
         assert rows == _tally(timelines)[0]
         try:
             assert [list(row) for row in transition_matrix(timelines).counts] == counts
@@ -540,13 +543,13 @@ class TestStorePath:
 
     def test_store_timelines_are_not_checked_again(self, monkeypatch):
         store = generate(SynthParams(days=8, pages=2, per_page=3, replacement_rate=0.5, seed=4))
-        want = store.build_timelines()
+        want = store.build_timelines(), compute_report(store), compute_refind(store)
 
         def refuse(self):
             raise AssertionError("a timeline built from a checked store was checked again")
 
         monkeypatch.setattr(StoryTimeline, "__post_init__", refuse)
-        assert store.build_timelines() == want
+        assert (store.build_timelines(), compute_report(store), compute_refind(store)) == want
         with pytest.raises(AssertionError):
             tl(1, 0)  # the public constructor still checks
 

@@ -17,6 +17,8 @@ from serpchurn.model import (
     snapshot_to_json,
 )
 
+from builders import from_observations
+
 
 def _result(uri, page, rank, canonical=None):
     return SerpResult(
@@ -66,19 +68,19 @@ class TestValidation:
 
     def test_timeline_first_day_must_be_on_page(self):
         with pytest.raises(ValueError):
-            StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (0, 1))
+            from_observations("a.example/x", date(2024, 1, 1), (0, 1))
         with pytest.raises(ValueError):
-            StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (None, 1))
+            from_observations("a.example/x", date(2024, 1, 1), (None, 1))
         for first in (2.0, True):
             with pytest.raises(ValueError, match=f"got {first!r}$"):
-                StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (first, 1))
-        t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (3, None, 0))
+                from_observations("a.example/x", date(2024, 1, 1), (first, 1))
+        t = from_observations("a.example/x", date(2024, 1, 1), (3, None, 0))
         assert len(t) == 3
 
     def test_timeline_observation_range(self):
         for bad in (-1, 6, 2.5, 2.0, True):  # a state that is not an int page is no page
             with pytest.raises(ValueError, match=f"got {bad!r}$"):
-                StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
+                from_observations("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
 
     @pytest.mark.parametrize(
         "pages, unscraped",
@@ -91,7 +93,7 @@ class TestValidation:
 
     def test_timeline_is_its_sparse_form(self):
         t = StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 2}, frozenset({2}))
-        row = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
+        row = from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t == row and hash(t) == hash(row)
         assert t.observations == (4, 2, None, 0)
         assert t != StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 3}, frozenset({2}))
@@ -229,7 +231,7 @@ class TestInterchange:
             snapshot_from_json(text)
 
     def test_notation(self):
-        t = StoryTimeline.from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
+        t = from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t.notation() == "{4, 2, -, 0}"
 
 

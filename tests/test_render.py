@@ -11,7 +11,6 @@ from serpchurn.metrics import (
     temporal_matrix,
     transition_matrix,
 )
-from serpchurn.model import StoryTimeline
 from serpchurn.render import (
     ABSENT_COLOR,
     PAGE_COLORS,
@@ -27,11 +26,13 @@ from serpchurn.render import (
 )
 from serpchurn.synth import SynthParams, generate
 
+from builders import from_observations
+
 D = lambda day: date(2024, 1, day)
 
 TLS = (
-    StoryTimeline.from_observations("a.example/s", D(1), (4, 2, None, 0)),
-    StoryTimeline.from_observations("b.example/s", D(2), (1, None, 1)),
+    from_observations("a.example/s", D(1), (4, 2, None, 0)),
+    from_observations("b.example/s", D(2), (1, None, 1)),
 )
 MATRIX = temporal_matrix(TLS, start=D(1), days=4, gaps=frozenset({D(3)}))
 
@@ -96,9 +97,9 @@ def test_grid_bytes_pinned_on_padded_rows():
     """A story first seen after a gap day, an unscraped offset inside a
     timeline, and timelines that end before the span does."""
     tls = (
-        StoryTimeline.from_observations("a.example/s", D(1), (1, 0, None, 5, 0, 2)),
-        StoryTimeline.from_observations("b.example/s", D(4), (3, 4, 0)),
-        StoryTimeline.from_observations("c.example/s", D(2), (4, None, 1)),
+        from_observations("a.example/s", D(1), (1, 0, None, 5, 0, 2)),
+        from_observations("b.example/s", D(4), (3, 4, 0)),
+        from_observations("c.example/s", D(2), (4, None, 1)),
     )
     svg = render_temporal_grid(temporal_matrix(tls, start=D(1), days=6, gaps={D(3)}))
     assert svg.count("<rect") == 18
@@ -172,7 +173,7 @@ def grids(draw):
         offset = draw(st.integers(0, days - 1))
         rest = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=days - offset - 1))
         row = (draw(st.integers(1, 5)), *rest)
-        timelines.append(StoryTimeline.from_observations(f"s{i}.example/x", start + timedelta(days=offset), row))
+        timelines.append(from_observations(f"s{i}.example/x", start + timedelta(days=offset), row))
     return temporal_matrix(
         timelines, start=start, days=days, gaps=frozenset(start + timedelta(days=g) for g in gaps)
     )

@@ -15,12 +15,13 @@ from serpchurn.metrics import (
 from serpchurn.model import Vertical
 from serpchurn.oracle import oracle_report, oracle_transition_counts
 from serpchurn.synth import (
-    IDENTITY_KERNEL,
     SynthParams,
     generate,
     iter_snapshots,
     validate_kernel,
 )
+
+from builders import IDENTITY_KERNEL
 
 
 def test_same_seed_same_collection():

@@ -6,8 +6,8 @@ without a snapshot never enter a denominator: interval averages skip
 anchors that land on them and probability estimates drop stories whose
 timeline is unobserved at the queried offset.
 
-A store's report reads the store's one calendar walk: its day sets for the
-rates, and its story timelines, which ``_tally`` counts, for the refind cells.
+Every count reads the story timelines of the store's one calendar walk, the
+rates by calendar day (``_interval_means``), the rest by day offset (``_tally``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from itertools import product
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -65,30 +66,46 @@ class RateKind(Enum):
 
 
 def _interval_means(
-    sets: Sequence[frozenset[str] | None], days: int
-) -> dict[RateKind, tuple[Fraction, int]]:
-    """avg_interval_rate of each kind with a usable pair, from one walk over
-    the anchor pairs of a store's day sets (None on a gap day). A kind's
-    numerators are summed per size of its defining set: one exact Fraction
-    per size, not per pair. Counters are kept by position, replacement
-    first, and a lag longer than the calendar has no pair."""
-    if days < 1:
-        raise ValidationError(f"interval must be >= 1 day, got {days}")
-    by_size: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
-    n = [0, 0]
-    for here, later in zip(sets, sets[days:]):
-        if here is None or later is None:
-            continue
-        common = len(here & later)
-        for i, ref in enumerate((here, later)):
-            if ref:
-                by_size[i][len(ref)] += len(ref) - common
-                n[i] += 1
-    return {
-        kind: (sum(Fraction(k, size) for size, k in sizes.items()) / pairs, pairs)
-        for kind, sizes, pairs in zip(RateKind, by_size, n)
-        if pairs
-    }
+    store: CollectionStore, timelines: Iterable[StoryTimeline], lags: Iterable[int]
+) -> dict[tuple[int, int | None], dict[RateKind, tuple[Fraction, int]]]:
+    """avg_interval_rate of each kind with a usable pair, by (lag, page), page
+    None for all pages. One pass over the timelines counts, by calendar day d,
+    the stories listed on d and again ``lag`` days later, on any page (row 0)
+    or on the same page (row p), and at lag 0 those listed on d. A kind's
+    numerators are summed per size of its defining set: one exact Fraction per
+    size, not per pair. Counters are kept by position, replacement first."""
+    lags = (0, *lags)  # at lag 0, the stories listed each day
+    for lag in lags[1:]:
+        if lag < 1:
+            raise ValidationError(f"interval must be >= 1 day, got {lag}")
+    calendar = store.manifest.calendar
+    kept = {lag: [[0] * (len(calendar) - lag) for _ in range(N_STATES)] for lag in lags}  # by anchor d
+    for t in timelines:
+        at, pages = (t.first_seen - calendar[0]).days, t.pages
+        for k, page in pages.items():
+            for lag, rows in kept.items():
+                again = pages.get(k + lag)
+                if again is not None:
+                    rows[0][at + k] += 1
+                    if again == page:
+                        rows[page][at + k] += 1
+    listed, scraped = kept.pop(0), [day in store.snapshots for day in calendar]
+    means = {}
+    for (lag, rows), page in product(kept.items(), range(N_STATES)):
+        by_size: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+        n = [0, 0]
+        for d, common in enumerate(rows[page]):
+            if scraped[d] and scraped[d + lag]:
+                for i, size in enumerate((listed[page][d], listed[page][d + lag])):
+                    if size:
+                        by_size[i][size] += size - common
+                        n[i] += 1
+        means[lag, page or None] = {
+            kind: (sum(Fraction(k, size) for size, k in sizes.items()) / pairs, pairs)
+            for kind, sizes, pairs in zip(RateKind, by_size, n)
+            if pairs
+        }
+    return means
 
 
 def avg_interval_rate(
@@ -104,11 +121,9 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    day_sets, _ = store._walk()
-    sets = day_sets.get(page, [])  # no page outside 1-5 holds a link
-    mean = _interval_means(sets, days).get(kind)
+    mean = _interval_means(store, store._walk(), (days,)).get((days, page), {}).get(kind)
     if mean is None:
-        on_page = f" on page {page}" if page else ""
+        on_page = "" if page is None else f" on page {page}"
         raise InsufficientDataError(f"no usable {days}-day anchor pairs{on_page}")
     return mean
 
@@ -324,29 +339,22 @@ def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, Repor
 DEFAULT_INTERVALS = (1, 7, 30)
 
 
-def _report(store: CollectionStore, intervals: Iterable[int], refind: bool) -> ChurnReport:
-    """The rate cells at ``intervals``, all pages and each page 1-5, and with
-    ``refind`` the probability cells, all read from one walk of the store.
-    A rate cell with no usable anchor pair is left out."""
-    if refind and not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
-    day_sets, timelines = store._walk(day_sets=bool(intervals))
+def _rate_cells(
+    store: CollectionStore, timelines: Iterable[StoryTimeline], intervals: Iterable[int]
+) -> tuple[dict[tuple[int, int | None], ReportCell], dict[tuple[int, int | None], ReportCell]]:
+    """The replacement and new-story cells with a usable pair, by (lag, page)."""
     cells: dict[RateKind, dict] = {kind: {} for kind in RateKind}  # by (days, page)
-    for days in intervals:
-        for page, sets in day_sets.items():
-            for kind, (mean, n) in _interval_means(sets, days).items():
-                cells[kind][(days, page)] = ReportCell(float(mean), n)
-    prob, prob_page = refind_cells(timelines) if refind else ({}, {})
-    return ChurnReport(
-        store.topic, store.vertical, cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY], prob, prob_page
-    )
+    for key, means in _interval_means(store, timelines, intervals).items():
+        for kind, (mean, n) in means.items():
+            cells[kind][key] = ReportCell(float(mean), n)
+    return cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY]
 
 
 def compute_rates(
     store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
     """The report's rate cells; its probability cells stay empty."""
-    return _report(store, intervals, refind=False)
+    return ChurnReport(store.topic, store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
 
 
 def refind_cells(
@@ -376,13 +384,19 @@ def refind_cells(
 
 def compute_refind(store: CollectionStore) -> ChurnReport:
     """The report's probability cells, pages 1-5; its rate cells stay empty."""
-    return _report(store, (), refind=True)
+    if not store.snapshots:
+        raise InsufficientDataError("store holds no snapshots")
+    return ChurnReport(store.topic, store.vertical, {}, {}, *refind_cells(store._walk()))
 
 
 def compute_report(store: CollectionStore) -> ChurnReport:
     """Every rate at the daily, weekly and monthly lags and every refind
     probability, from one walk of the store."""
-    return _report(store, DEFAULT_INTERVALS, refind=True)
+    if not store.snapshots:
+        raise InsufficientDataError("store holds no snapshots")
+    timelines = store._walk()
+    rates = _rate_cells(store, timelines, DEFAULT_INTERVALS)
+    return ChurnReport(store.topic, store.vertical, *rates, *refind_cells(timelines))
 
 
 # -- CSV interchange ---------------------------------------------------

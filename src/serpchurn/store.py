@@ -6,8 +6,8 @@ derived from the snapshots and never read back) and one compact JSON line
 per day under ``snapshots/``. Every write goes through ``ingest``, which
 first refuses a directory holding another topic or vertical. A store
 without a root keeps everything in memory, for synth and stream mode.
-One walk over the calendar reads each stored link once, for each day's URI
-sets and each story's ``StoryTimeline``; every count reads what it builds.
+One walk over the calendar reads each stored link once and builds each
+story's ``StoryTimeline``, the one record every count reads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     StoreMissingError,
 )
 from .model import (
-    PAGES_MAX,
     CollectionManifest,
     SerpSnapshot,
     StoryTimeline,
@@ -186,16 +185,12 @@ class CollectionStore:
         }
         return total, len(uniq), len(self.manifest.calendar)
 
-    def _walk(self, day_sets: bool = True) -> tuple[dict, list[StoryTimeline]]:
-        """Each day's URI sets by page (None for all pages; a set is None on a
-        gap day, and with no ``day_sets`` there are none) and each story's
-        timeline, in first-seen order: one pass over every stored link, which
-        counts at its first placement that day. Stories first seen on the same
-        day share one unscraped set. The store's snapshots were checked, so
-        the timelines are not."""
+    def _walk(self) -> list[StoryTimeline]:
+        """Each story's timeline, in first-seen order: one pass over every
+        stored link, which counts at its first placement that day. Stories
+        first seen on the same day share one unscraped set. The store's
+        snapshots were checked, so the timelines are not."""
         days = self.manifest.calendar
-        families = (None, *range(1, PAGES_MAX + 1)) if day_sets else ()
-        sets: dict[int | None, list] = {page: [None] * len(days) for page in families}
         stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
         gaps: list[int] = []
         for idx, day in enumerate(days):
@@ -203,24 +198,15 @@ class CollectionStore:
             if snap is None:
                 gaps.append(idx)
                 continue
-            on_page = {page: [] for page in range(1, PAGES_MAX + 1)}
             for r in snap.results:
                 story = stories.get(r.canonical_uri)
                 if story is None:
                     stories[r.canonical_uri] = (idx, {0: r.page})
-                elif idx - story[0] in story[1]:
-                    continue  # listed earlier today
                 else:
-                    story[1][idx - story[0]] = r.page
-                on_page[r.page].append(r.canonical_uri)
-            if day_sets:
-                sets[None][idx] = frozenset().union(*on_page.values())
-                for page, uris in on_page.items():
-                    sets[page][idx] = frozenset(uris)
+                    story[1].setdefault(idx - story[0], r.page)  # a later listing that day loses
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
         timeline = trusted(StoryTimeline)
-        timelines = [timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()]
-        return sets, timelines
+        return [timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()]
 
     def build_timelines(self) -> tuple[StoryTimeline, ...]:
         """Every story's timeline from the store's walk, ordered by
@@ -232,7 +218,7 @@ class CollectionStore:
         """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
-        return tuple(sorted(self._walk(day_sets=False)[1], key=attrgetter("first_seen", "canonical_uri")))
+        return tuple(sorted(self._walk(), key=attrgetter("first_seen", "canonical_uri")))
 
 
 def open_store(root: Path) -> CollectionStore:

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from serpchurn.cli import _interval_days
 from serpchurn.errors import InsufficientDataError, UndefinedRateError, ValidationError
@@ -190,6 +190,17 @@ class TestIntervalAveraging:
         with pytest.raises(InsufficientDataError):
             avg_interval_rate(store, 1, RateKind.REPLACEMENT, page=4)
 
+    @pytest.mark.parametrize("page", [0, 6, -1])
+    def test_a_page_outside_one_to_five_has_no_pair(self, page):
+        # page 5 and all pages have pairs, so a page that read the all-pages
+        # row (0) or wrapped round to page 5 (-1) would get a mean
+        store = store_of(snap(1, [("a", 5), ("b", 5)]), snap(2, [("b", 5), ("c", 5)]))
+        assert avg_interval_rate(store, 1, RateKind.REPLACEMENT, page=5) == (Fraction(1, 2), 1)
+        assert avg_interval_rate(store, 1, RateKind.REPLACEMENT) == (Fraction(1, 2), 1)
+        for kind in RateKind:
+            with pytest.raises(InsufficientDataError, match=f"no usable 1-day anchor pairs on page {page}$"):
+                avg_interval_rate(store, 1, kind, page=page)
+
     def test_interval_names(self):
         assert _interval_days("daily") == 1
         assert _interval_days("weekly") == 7
@@ -234,6 +245,21 @@ class TestIntervalAveraging:
                     else:
                         with pytest.raises(InsufficientDataError):
                             avg_interval_rate(store, days, kind, page)
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_days(), st.sets(st.integers(0, 4), min_size=1))
+    @example(  # day 1 is scraped but lists nothing, so day offsets start before any first_seen
+        [snap(1, []), snap(2, [("a", 1), ("b", 2)]), snap(3, [("b", 1), ("c", 2)]), snap(5, [("a", 2), ("c", 2)])],
+        {0, 1, 2, 3, 4},
+    )
+    def test_lags_near_the_span_match_the_oracle(self, raw, picks):
+        """Lags 1 and 2, span - 1 (exactly one anchor pair), and span and
+        span + 1 (none) count as the oracle does on a messy store."""
+        store = store_of(*raw)
+        span = len(store.manifest.calendar)
+        lags = sorted(lag for lag in ((1, 2, span - 1, span, span + 1)[i] for i in picks) if lag >= 1)
+        want = oracle_report(store, intervals=lags)
+        assert compute_rates(store, lags) == replace(want, prob_seen={}, prob_seen_page={})
 
     def test_no_lag_steps_past_the_calendar(self):
         store = generate(SynthParams(days=12, start=date(9999, 12, 20), seed=3))
@@ -532,7 +558,7 @@ class TestStorePath:
         assert (report.prob_seen, report.prob_seen_page) == (prob, prob_page)
         assert compute_refind(store) == replace(report, replacement={}, new_story={})
         assert compute_rates(store) == replace(report, prob_seen={}, prob_seen_page={})
-        walked = store._walk()[1]
+        walked = store._walk()
         assert tuple(sorted(walked, key=lambda t: (t.first_seen, t.canonical_uri))) == timelines
         rows, counts = _tally(walked)
         assert rows == _tally(timelines)[0]
@@ -543,13 +569,18 @@ class TestStorePath:
 
     def test_store_timelines_are_not_checked_again(self, monkeypatch):
         store = generate(SynthParams(days=8, pages=2, per_page=3, replacement_rate=0.5, seed=4))
-        want = store.build_timelines(), compute_report(store), compute_refind(store)
+
+        def counts():
+            rate = avg_interval_rate(store, 2, RateKind.NEW_STORY, page=1)
+            return store.build_timelines(), compute_report(store), compute_refind(store), compute_rates(store), rate
+
+        want = counts()
 
         def refuse(self):
             raise AssertionError("a timeline built from a checked store was checked again")
 
         monkeypatch.setattr(StoryTimeline, "__post_init__", refuse)
-        assert (store.build_timelines(), compute_report(store), compute_refind(store)) == want
+        assert counts() == want
         with pytest.raises(AssertionError):
             tl(1, 0)  # the public constructor still checks
 

@@ -1,4 +1,12 @@
-"""Track news-story URIs across search result pages and measure churn."""
+"""Track news-story URIs across search result pages and measure churn.
+
+Every public name can be imported from the package root, but its module
+loads only when the name is first used (PEP 562), so a command that never
+fits or parses loads neither the fitter nor the HTML parser. The error
+classes, which every module raises, load with the package.
+"""
+
+from importlib import import_module
 
 from .errors import (
     FitConvergenceError,
@@ -16,91 +24,73 @@ from .errors import (
     UriParseError,
     ValidationError,
 )
-from .fitting import eval_model, fit_exponential, refind_points
-from .metrics import (
-    ChurnReport,
-    RateKind,
-    ReportCell,
-    TransitionEstimate,
-    avg_interval_rate,
-    compute_rates,
-    compute_refind,
-    compute_report,
-    new_story_rate,
-    overlap,
-    prob_seen,
-    prob_seen_on_page,
-    recall,
-    replacement_rate,
-    report_to_csv,
-    transition_matrix,
-)
-from .model import (
-    CollectionManifest,
-    RefindabilityModel,
-    SerpResult,
-    SerpSnapshot,
-    StoryTimeline,
-    Vertical,
-    canonicalize,
-    dedup_snapshot,
-)
-from .oracle import oracle_report, oracle_transition_counts
-from .serp_io import FetchPlan, build_snapshot, parse_serp_html
-from .store import CollectionStore, open_store
-from .synth import SynthParams, generate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollectionManifest",
-    "CollectionStore",
-    "ChurnReport",
-    "FetchPlan",
-    "FitConvergenceError",
-    "FixtureNotFound",
-    "InsufficientDataError",
-    "OracleScaleError",
-    "RateKind",
-    "RateLimited",
-    "RefindabilityModel",
-    "ReportCell",
-    "SerpChurnError",
-    "SerpParseError",
-    "SerpResult",
-    "SerpSnapshot",
-    "StoreMismatchError",
-    "StoreMissingError",
-    "StoryTimeline",
-    "SynthParams",
-    "TransitionEstimate",
-    "TransportError",
-    "UnderdeterminedFitError",
-    "UndefinedRateError",
-    "UriParseError",
-    "ValidationError",
-    "Vertical",
-    "avg_interval_rate",
-    "build_snapshot",
-    "canonicalize",
-    "compute_rates",
-    "compute_refind",
-    "compute_report",
-    "dedup_snapshot",
-    "eval_model",
-    "fit_exponential",
-    "generate",
-    "new_story_rate",
-    "open_store",
-    "oracle_report",
-    "oracle_transition_counts",
-    "overlap",
-    "parse_serp_html",
-    "prob_seen",
-    "prob_seen_on_page",
-    "recall",
-    "refind_points",
-    "replacement_rate",
-    "report_to_csv",
-    "transition_matrix",
-]
+# The module that defines each public name.
+_HOMES = {
+    "CollectionManifest": "model",
+    "CollectionStore": "store",
+    "ChurnReport": "metrics",
+    "FetchPlan": "serp_io",
+    "FitConvergenceError": "errors",
+    "FixtureNotFound": "errors",
+    "InsufficientDataError": "errors",
+    "OracleScaleError": "errors",
+    "RateKind": "metrics",
+    "RateLimited": "errors",
+    "RefindabilityModel": "model",
+    "ReportCell": "metrics",
+    "SerpChurnError": "errors",
+    "SerpParseError": "errors",
+    "SerpResult": "model",
+    "SerpSnapshot": "model",
+    "StoreMismatchError": "errors",
+    "StoreMissingError": "errors",
+    "StoryTimeline": "model",
+    "SynthParams": "synth",
+    "TransitionEstimate": "metrics",
+    "TransportError": "errors",
+    "UnderdeterminedFitError": "errors",
+    "UndefinedRateError": "errors",
+    "UriParseError": "errors",
+    "ValidationError": "errors",
+    "Vertical": "model",
+    "avg_interval_rate": "metrics",
+    "build_snapshot": "serp_io",
+    "canonicalize": "model",
+    "compute_rates": "metrics",
+    "compute_refind": "metrics",
+    "compute_report": "metrics",
+    "dedup_snapshot": "model",
+    "eval_model": "fitting",
+    "fit_exponential": "fitting",
+    "generate": "synth",
+    "new_story_rate": "metrics",
+    "open_store": "store",
+    "oracle_report": "oracle",
+    "oracle_transition_counts": "oracle",
+    "overlap": "metrics",
+    "parse_serp_html": "serp_io",
+    "prob_seen": "metrics",
+    "prob_seen_on_page": "metrics",
+    "recall": "metrics",
+    "refind_points": "fitting",
+    "replacement_rate": "metrics",
+    "report_to_csv": "metrics",
+    "transition_matrix": "metrics",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first use and keep the name here."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

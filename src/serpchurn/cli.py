@@ -5,7 +5,8 @@ snapshot documents, then read stats, timelines, metrics, probabilities,
 transitions, fitted models, comparisons and rendered reports back out.
 ``--store`` points at a collection directory; ``-`` streams snapshot
 documents over stdin/stdout instead (one compact JSON doc per line).
-stdin, stdout and every file are UTF-8, whatever the locale.
+stdin, stdout and every file are UTF-8, whatever the locale. Each command
+imports the modules it runs in its own body, so ``stats`` loads no metrics.
 
 Exit codes: 0 success, 1 transport, I/O or internal failure, 2 usage
 or validation error, 3 missing store or fixture, 4 not enough data,
@@ -19,10 +20,9 @@ import json
 import os
 import re
 import sys
-import traceback
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import (
     InsufficientDataError,
@@ -31,23 +31,8 @@ from .errors import (
     StoreMissingError,
     ValidationError,
 )
-from .fitting import (
-    algebraic_form,
-    fit_exponential,
-    model_doc,
-    refind_points,
-)
-from .metrics import (
-    ChurnReport,
-    compute_rates,
-    compute_refind,
-    overlap,
-    recall,
-    report_to_csv,
-    temporal_matrix,
-    transition_matrix,
-)
 from .model import (
+    DEFAULT_DELAY,
     PAGES_MAX,
     RefindabilityModel,
     SerpSnapshot,
@@ -56,24 +41,16 @@ from .model import (
     snapshot_from_json,
     snapshot_to_json,
 )
-from .render import (
-    format_compare,
-    format_prob_table,
-    format_rate_table,
-    format_timelines,
-    format_transitions,
-    render_fit_curve,
-    render_page_rate_bars,
-    temporal_grid_lines,
-)
-from .serp_io import DEFAULT_DELAY, FetchPlan, build_snapshot
 from .store import (
     CollectionStore,
     iter_snapshot_stream,
     open_store,
     store_from_stream,
 )
-from .synth import Kernel, SynthParams, iter_snapshots
+
+if TYPE_CHECKING:
+    from .metrics import ChurnReport
+    from .synth import Kernel
 
 STORE_ENV = "SERPCHURN_STORE"
 
@@ -144,6 +121,8 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 def _table(report: ChurnReport, fmt: str, text_table: Callable[[ChurnReport], str]) -> str:
     """The report as CSV for ``--format csv``, else as its text table."""
+    from .metrics import report_to_csv
+
     return report_to_csv(report) if fmt == "csv" else text_table(report)
 
 
@@ -151,6 +130,8 @@ def _fit(
     store: CollectionStore, max_k: int | None = None
 ) -> tuple[list[tuple[int, float]], RefindabilityModel]:
     """Refind points up to ``max_k`` (default: the span's last offset) and their fit."""
+    from .fitting import fit_exponential, refind_points
+
     if max_k is None:
         max_k = len(store.manifest.calendar) - 1
     points = refind_points(store.build_timelines(), max_k)
@@ -161,6 +142,8 @@ def _fit(
 
 
 def _cmd_scrape(args) -> Iterable[str] | None:
+    from .serp_io import FetchPlan, build_snapshot
+
     date_range = None
     if args.date_start or args.date_end:
         if not (args.date_start and args.date_end):
@@ -218,10 +201,15 @@ def _cmd_stats(args) -> str:
 
 
 def _cmd_timelines(args) -> Iterable[str]:
+    from .render import format_timelines
+
     return format_timelines(_load_store(args).build_timelines())
 
 
 def _cmd_metrics(args) -> str:
+    from .metrics import compute_rates
+    from .render import format_rate_table
+
     store = _load_store(args)
     intervals = [_interval_days(part) for part in args.intervals.split(",") if part]
     if not intervals:
@@ -230,10 +218,16 @@ def _cmd_metrics(args) -> str:
 
 
 def _cmd_prob(args) -> str:
+    from .metrics import compute_refind
+    from .render import format_prob_table
+
     return _table(compute_refind(_load_store(args)), args.format, format_prob_table)
 
 
 def _cmd_transitions(args) -> str:
+    from .metrics import transition_matrix
+    from .render import format_transitions
+
     est = transition_matrix(_load_store(args).build_timelines())
     if args.counts:
         return "".join(" ".join(str(c) for c in row) + "\n" for row in est.counts)
@@ -241,6 +235,8 @@ def _cmd_transitions(args) -> str:
 
 
 def _cmd_fit(args) -> None:
+    from .fitting import algebraic_form, model_doc
+
     if args.max_k is not None and args.max_k < 0:
         raise ValidationError(f"--max-k must be >= 0, got {args.max_k}")
     store = _load_store(args)
@@ -256,6 +252,9 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_compare(args) -> str:
+    from .metrics import overlap, recall
+    from .render import format_compare
+
     stores = [open_store(Path(args.store_a)), open_store(Path(args.store_b))]
     set_a, set_b = (
         {r.canonical_uri for s in store.snapshots.values() for r in s.results}
@@ -277,6 +276,9 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_report(args) -> str | Iterable[str]:
+    from .metrics import compute_rates, temporal_matrix
+    from .render import render_fit_curve, render_page_rate_bars, temporal_grid_lines
+
     store = _load_store(args)
     if args.kind == "page-chart":
         days = _interval_days(args.interval)
@@ -304,6 +306,8 @@ def _read_kernel(path: str) -> Kernel:
 
 
 def _cmd_synth(args) -> Iterable[str] | None:
+    from .synth import SynthParams, iter_snapshots
+
     params = SynthParams(
         days=args.days,
         pages=args.pages,
@@ -441,6 +445,8 @@ def main(argv=None) -> int:
         print(f"error: io: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # a bug, not bad input: keep the traceback
+        import traceback
+
         traceback.print_exc()
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -354,6 +354,8 @@ def compute_rates(
     store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
     """The report's rate cells; its probability cells stay empty."""
+    if not store.snapshots:
+        raise InsufficientDataError("store holds no snapshots")
     return ChurnReport(store.topic, store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
 
 

@@ -23,6 +23,7 @@ from urllib.parse import urlsplit
 from .errors import SerpParseError, UriParseError
 
 PAGES_MAX = 5
+DEFAULT_DELAY = 3.0  # seconds to wait before each live page request
 N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 _PAGES = frozenset(range(1, PAGES_MAX + 1))
 

@@ -11,7 +11,6 @@ from datetime import timedelta
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .fitting import eval_model
 from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, rate_rows
 from .model import PAGES_MAX, RefindabilityModel, StoryTimeline
 
@@ -118,6 +117,8 @@ def render_fit_curve(
     points: Sequence[tuple[float, float]], model: RefindabilityModel
 ) -> str:
     """Observed probabilities as dots, the fitted curve as a polyline; 480x320."""
+    from .fitting import eval_model  # here, so the table commands never load the fitter
+
     width, height, pad = 480, 320, 30
     max_k = max((k for k, _ in points), default=1.0) or 1.0
     plot_w = width - 2 * pad

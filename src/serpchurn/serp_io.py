@@ -21,14 +21,13 @@ from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
 from .errors import FixtureNotFound, RateLimited, TransportError
-from .model import SerpSnapshot, Vertical, dedup_snapshot, results_from_links
+from .model import DEFAULT_DELAY, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
 
 if TYPE_CHECKING:
     import requests
 
 SEARCH_URL = "https://www.google.com/search"
 RESULTS_PER_PAGE = 10
-DEFAULT_DELAY = 3.0
 
 _UA = (
     "Mozilla/5.0 (X11; Linux x86_64; rv:109.0) Gecko/20100101 Firefox/115.0"

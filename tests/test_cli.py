@@ -402,6 +402,18 @@ def test_an_interval_longer_than_the_store_has_no_pair(capsys, synth_store, days
     )
 
 
+def test_a_store_with_no_snapshots_has_no_rates(capsys, tmp_path):
+    root = tmp_path / "emptied"
+    assert main(["synth", "--days", "3", "--store", str(root)]) == 0
+    for path in (root / "snapshots").iterdir():
+        path.unlink()
+    capsys.readouterr()
+    for command in (["metrics"], ["report", "--kind", "page-chart"]):
+        assert run(capsys, *command, "--store", str(root)) == (
+            4, "", "error: insufficient-data: store holds no snapshots\n"
+        )
+
+
 def test_an_interval_ending_past_date_max_is_skipped(capsys, monkeypatch):
     assert main(["synth", "--days", "12", "--start", "9999-12-20", "--store", "-"]) == 0
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(capsys.readouterr().out.encode())))
@@ -643,7 +655,7 @@ def test_a_bug_is_internal_not_validation(capsys, monkeypatch, synth_store):
     def broken(*args, **kwargs):
         raise ValueError("a bug in the rates")
 
-    monkeypatch.setattr("serpchurn.cli.compute_rates", broken)
+    monkeypatch.setattr("serpchurn.metrics.compute_rates", broken)
     code, out, err = run(capsys, "metrics", "--store", str(synth_store))
     assert code == 1
     assert out == ""

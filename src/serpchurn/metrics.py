@@ -74,11 +74,13 @@ def _interval_means(
     or on the same page (row p), and at lag 0 those listed on d. A kind's
     numerators are summed per size of its defining set: one exact Fraction per
     size, not per pair. Counters are kept by position, replacement first."""
-    lags = (0, *lags)  # at lag 0, the stories listed each day
-    for lag in lags[1:]:
+    lags = tuple(lags)
+    for lag in lags:
         if lag < 1:
             raise ValidationError(f"interval must be >= 1 day, got {lag}")
     calendar = store.manifest.calendar
+    # at lag 0, the stories listed each day; a lag as long as the calendar has no anchor pair
+    lags = (0, *(lag for lag in lags if lag < len(calendar)))
     kept = {lag: [[0] * (len(calendar) - lag) for _ in range(N_STATES)] for lag in lags}  # by anchor d
     for t in timelines:
         at, pages = (t.first_seen - calendar[0]).days, t.pages
@@ -317,7 +319,6 @@ class ChurnReport:
     figure; probability keys are the day offset k, or (k, page).
     """
 
-    topic: str
     vertical: Vertical
     replacement: dict[tuple[int, int | None], ReportCell]
     new_story: dict[tuple[int, int | None], ReportCell]
@@ -356,7 +357,7 @@ def compute_rates(
     """The report's rate cells; its probability cells stay empty."""
     if not store.snapshots:
         raise InsufficientDataError("store holds no snapshots")
-    return ChurnReport(store.topic, store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
+    return ChurnReport(store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
 
 
 def refind_cells(
@@ -388,7 +389,7 @@ def compute_refind(store: CollectionStore) -> ChurnReport:
     """The report's probability cells, pages 1-5; its rate cells stay empty."""
     if not store.snapshots:
         raise InsufficientDataError("store holds no snapshots")
-    return ChurnReport(store.topic, store.vertical, {}, {}, *refind_cells(store._walk()))
+    return ChurnReport(store.vertical, {}, {}, *refind_cells(store._walk()))
 
 
 def compute_report(store: CollectionStore) -> ChurnReport:
@@ -398,7 +399,7 @@ def compute_report(store: CollectionStore) -> ChurnReport:
         raise InsufficientDataError("store holds no snapshots")
     timelines = store._walk()
     rates = _rate_cells(store, timelines, DEFAULT_INTERVALS)
-    return ChurnReport(store.topic, store.vertical, *rates, *refind_cells(timelines))
+    return ChurnReport(store.vertical, *rates, *refind_cells(timelines))
 
 
 # -- CSV interchange ---------------------------------------------------

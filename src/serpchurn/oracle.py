@@ -129,7 +129,6 @@ def oracle_report(
             )
 
     return ChurnReport(
-        topic=store.manifest.topic,
         vertical=store.manifest.vertical,
         replacement=replacement,
         new_story=new_story,

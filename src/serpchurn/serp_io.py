@@ -1,8 +1,8 @@
 """Fetching and parsing of result pages.
 
-Two fetch modes share one code path: live mode issues throttled HTTP
-requests, and a plan with a ``fixture_dir`` replays previously saved page
-bytes from a directory tree laid out as
+Two fetch modes share one code path: live mode fetches each page over
+HTTP with ``urllib.request``, throttled, and a plan with a ``fixture_dir``
+replays previously saved page bytes from a directory tree laid out as
 ``<root>/<query-slug>/<vertical>/<YYYY-MM-DD>/p<N>.html``. Both feed the
 same extractor, which pulls heading-anchored result links out of the
 markup and unwraps redirect-style hrefs.
@@ -17,14 +17,10 @@ from dataclasses import dataclass
 from datetime import date
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import TYPE_CHECKING
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import FixtureNotFound, RateLimited, TransportError
 from .model import DEFAULT_DELAY, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
-
-if TYPE_CHECKING:
-    import requests
 
 SEARCH_URL = "https://www.google.com/search"
 RESULTS_PER_PAGE = 10
@@ -91,7 +87,6 @@ def fetch_serp_page(
     page_no: int,
     day: date,
     *,
-    session: requests.Session | None = None,
     sleep=time.sleep,
 ) -> bytes:
     """Fetch the raw bytes of one result page.
@@ -99,7 +94,8 @@ def fetch_serp_page(
     Fixture mode is a pure file read. Live mode sleeps the politeness
     delay before each request and maps HTTP 429 / block interstitials to
     RateLimited and network failures to TransportError. Only live mode
-    imports ``requests``.
+    imports the HTTP client, which honours ``https_proxy`` and any opener
+    installed with ``urllib.request.install_opener``.
     """
     if plan.fixture_dir is not None:
         path = fixture_page_path(plan, day, page_no)
@@ -107,7 +103,9 @@ def fetch_serp_page(
             raise FixtureNotFound(f"no fixture page at {path}")
         return path.read_bytes()
 
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     params = {
         "q": plan.query,
@@ -122,25 +120,25 @@ def fetch_serp_page(
             f"cd_max:{hi.month}/{hi.day}/{hi.year}"
         )
     sleep(plan.politeness_delay)
-    http = session or requests
+    request = urllib.request.Request(f"{SEARCH_URL}?{urlencode(params)}", headers={"User-Agent": _UA})
     try:
-        resp = http.get(
-            SEARCH_URL, params=params, headers={"User-Agent": _UA}, timeout=30
-        )
-    except requests.RequestException as e:
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            body = resp.read()
+    except urllib.error.HTTPError as e:  # an OSError too, so caught first
+        e.close()
+        if e.code == 429:
+            retry_after = 300.0
+            try:
+                retry_after = float(e.headers.get("Retry-After", retry_after))
+            except (TypeError, ValueError):
+                pass
+            raise RateLimited("server returned 429", retry_after=retry_after) from None
+        raise TransportError(f"HTTP {e.code} for page {page_no}") from None
+    except (OSError, http.client.HTTPException) as e:  # refused, DNS, timeout, TLS, truncated
         raise TransportError(f"fetch failed for page {page_no}: {e}") from e
-    if resp.status_code == 429:
-        retry_after = 300.0
-        try:
-            retry_after = float(resp.headers.get("Retry-After", retry_after))
-        except (TypeError, ValueError):
-            pass
-        raise RateLimited("server returned 429", retry_after=retry_after)
-    if resp.status_code >= 400:
-        raise TransportError(f"HTTP {resp.status_code} for page {page_no}")
-    if _looks_blocked(resp.text):
+    if _looks_blocked(body.decode("utf-8", errors="replace")):
         raise RateLimited("block page served instead of results")
-    return resp.content
+    return body
 
 
 class _ResultLinkExtractor(HTMLParser):
@@ -239,7 +237,6 @@ def build_snapshot(
     plan: FetchPlan,
     day: date,
     *,
-    session: requests.Session | None = None,
     sleep=time.sleep,
 ) -> SerpSnapshot:
     """Fetch and parse all requested pages for one day into a snapshot.
@@ -249,7 +246,7 @@ def build_snapshot(
     """
     links: list[tuple[str, str, int]] = []
     for page_no in range(1, plan.pages + 1):
-        raw = fetch_serp_page(plan, page_no, day, session=session, sleep=sleep)
+        raw = fetch_serp_page(plan, page_no, day, sleep=sleep)
         for uri, title in parse_serp_html(raw):
             links.append((uri, title, page_no))
     snapshot = SerpSnapshot(

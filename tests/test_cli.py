@@ -402,6 +402,23 @@ def test_an_interval_longer_than_the_store_has_no_pair(capsys, synth_store, days
     )
 
 
+HUGE = "99999999999999999999"  # past any index-sized integer
+
+
+def test_metrics_at_a_huge_interval_lists_no_rate(capsys, synth_store):
+    capsys.readouterr()
+    assert run(capsys, "metrics", "--intervals", HUGE, "--store", str(synth_store)) == (
+        0, "metric             interval page     mean      n\n", ""
+    )
+
+
+def test_a_page_chart_at_a_huge_interval_has_no_data(capsys, synth_store):
+    capsys.readouterr()
+    assert run(capsys, "report", "--kind", "page-chart", "--interval", HUGE, "--store", str(synth_store)) == (
+        4, "", "error: insufficient-data: no page has enough data to chart\n"
+    )
+
+
 def test_a_store_with_no_snapshots_has_no_rates(capsys, tmp_path):
     root = tmp_path / "emptied"
     assert main(["synth", "--days", "3", "--store", str(root)]) == 0
@@ -548,7 +565,7 @@ def test_offline_imports_stay_in_the_standard_library(child_env):
     probe = (
         "import sys, serpchurn, serpchurn.cli; "
         "print(serpchurn.__file__); "
-        "print(sorted(m for m in ('numpy', 'requests') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'urllib.request', 'http.client', 'ssl') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()

@@ -26,6 +26,7 @@ PROBE = (
     "print(json.dumps([code, sys.modules['serpchurn'].__file__, sorted(sys.modules)]), file=sys.stderr)\n"
 )
 
+HTTP_CLIENT = ("urllib.request", "http.client", "ssl")
 NO_FIT = ("serpchurn.fitting", "serpchurn.oracle", "serpchurn.serp_io")
 NO_ANALYSIS = (*NO_FIT, "serpchurn.metrics", "serpchurn.render", "html.parser")
 NO_READS = ("serpchurn.metrics", "serpchurn.fitting", "serpchurn.render", "serpchurn.oracle")
@@ -94,8 +95,8 @@ def test_a_command_loads_only_what_it_runs(child_env, store, stream, serp_root, 
     code, package_file, loaded = json.loads(proc.stderr.decode().splitlines()[-1])
     assert code == 0, proc.stderr
     assert Path(package_file).resolve() == Path(serpchurn.__file__).resolve()
-    # no command but a live scrape needs the HTTP client
-    assert sorted({"requests", *absent} & set(loaded)) == []
+    # no command but a live scrape needs the HTTP client, not even a scrape of saved pages
+    assert sorted({*HTTP_CLIENT, *absent} & set(loaded)) == []
 
 
 def test_an_unknown_name_is_an_attribute_error():

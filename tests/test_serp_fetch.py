@@ -1,10 +1,15 @@
+import socket
+import threading
 from datetime import date
-from pathlib import Path
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
-import requests
 
+from serpchurn import serp_io
+from serpchurn.cli import main
 from serpchurn.errors import FixtureNotFound, RateLimited, TransportError
+from serpchurn.model import Vertical, snapshot_to_json
 from serpchurn.serp_io import (
     FetchPlan,
     build_snapshot,
@@ -12,32 +17,77 @@ from serpchurn.serp_io import (
     fixture_page_path,
     query_slug,
 )
-from serpchurn.model import Vertical
 
 DAY = date(2017, 9, 7)
 
 
-class FakeResponse:
-    def __init__(self, status=200, text="<html></html>", headers=None):
-        self.status_code = status
-        self.text = text
-        self.content = text.encode("utf-8")
-        self.headers = headers or {}
+def _query(path):
+    return {k: v[0] for k, v in parse_qs(urlsplit(path).query).items()}
 
 
-class FakeSession:
-    """Records requests and plays back canned responses."""
+class _Handler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.server.calls.append({"path": self.path, "headers": dict(self.headers)})
+        status, body, headers = self.server.reply(_query(self.path))
+        self.send_response(status)
+        headers = {"Content-Length": str(len(body)), **headers}
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
 
-    def __init__(self, responses):
-        self.responses = list(responses)
+    def log_message(self, *args):
+        pass
+
+
+class SerpServer(ThreadingHTTPServer):
+    """A result-page server on 127.0.0.1 that records each request's path
+    and headers and answers with ``reply(query)``: (status, body, headers)."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
         self.calls = []
 
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "params": params, "headers": headers})
-        resp = self.responses.pop(0)
-        if isinstance(resp, Exception):
-            raise resp
-        return resp
+    def serve(self, *replies):
+        """Answer the next calls with these replies, in order."""
+        queue = list(replies)
+        self.reply = lambda query: queue.pop(0)
+
+
+@pytest.fixture(scope="module")
+def serp_server():
+    srv = SerpServer()
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join()
+
+
+def _search_at(monkeypatch, port):
+    """Send live fetches to ``port`` on 127.0.0.1, past any proxy."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setattr(serp_io, "SEARCH_URL", f"http://127.0.0.1:{port}/search")
+
+
+@pytest.fixture
+def server(serp_server, monkeypatch):
+    """The module's server with no calls recorded yet and the default reply,
+    standing in for the search engine."""
+    serp_server.calls.clear()
+    serp_server.reply = lambda query: (200, b"<html></html>", {})
+    _search_at(monkeypatch, serp_server.server_port)
+    return serp_server
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """Point the search URL at a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    _search_at(monkeypatch, port)
 
 
 def live_plan(**kw):
@@ -83,62 +133,65 @@ def test_missing_fixture_raises(serp_root):
         fetch_serp_page(plan, 1, DAY)
 
 
-def test_live_request_params_and_throttle():
-    session = FakeSession([FakeResponse()])
+def test_live_request_params_and_throttle(server):
     slept = []
-    fetch_serp_page(live_plan(), 2, DAY, session=session, sleep=slept.append)
+    fetch_serp_page(live_plan(), 2, DAY, sleep=slept.append)
     assert slept == [2.0]
-    call = session.calls[0]
-    assert call["params"]["q"] == "hurricane harvey"
-    assert call["params"]["start"] == "10"
-    assert "tbm" not in call["params"]
-    assert "User-Agent" in call["headers"]
+    call = server.calls[0]
+    assert call["path"] == "/search?q=hurricane+harvey&start=10"
+    params = _query(call["path"])
+    assert params["q"] == "hurricane harvey"
+    assert params["start"] == "10"
+    assert "tbm" not in params
+    assert call["headers"]["User-Agent"].startswith("Mozilla/5.0 ")
 
 
-def test_live_news_and_date_range_params():
-    session = FakeSession([FakeResponse()])
+def test_live_news_and_date_range_params(server):
     plan = live_plan(
         vertical=Vertical.NEWS,
         date_range=(date(2017, 9, 1), date(2017, 9, 30)),
     )
-    fetch_serp_page(plan, 1, DAY, session=session, sleep=lambda _: None)
-    params = session.calls[0]["params"]
+    fetch_serp_page(plan, 1, DAY, sleep=lambda _: None)
+    call = server.calls[0]
+    assert call["path"] == (
+        "/search?q=hurricane+harvey&start=0&tbm=nws"
+        "&tbs=cdr%3A1%2Ccd_min%3A9%2F1%2F2017%2Ccd_max%3A9%2F30%2F2017"
+    )
+    params = _query(call["path"])
     assert params["tbm"] == "nws"
     assert params["tbs"] == "cdr:1,cd_min:9/1/2017,cd_max:9/30/2017"
 
 
-def test_http_429_maps_to_rate_limited():
-    session = FakeSession([FakeResponse(status=429, headers={"Retry-After": "60"})])
+def test_http_429_maps_to_rate_limited(server):
+    server.serve((429, b"", {"Retry-After": "60"}))
     with pytest.raises(RateLimited) as exc:
-        fetch_serp_page(live_plan(), 1, DAY, session=session, sleep=lambda _: None)
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
     assert exc.value.retry_after == 60.0
 
 
-def test_http_429_default_backoff():
-    session = FakeSession([FakeResponse(status=429)])
+@pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}], ids=["missing", "unparseable"])
+def test_http_429_default_backoff(server, headers):
+    server.serve((429, b"", headers))
     with pytest.raises(RateLimited) as exc:
-        fetch_serp_page(live_plan(), 1, DAY, session=session, sleep=lambda _: None)
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
     assert exc.value.retry_after == 300.0
 
 
-def test_block_page_in_200_response():
-    session = FakeSession(
-        [FakeResponse(text='<form action="/sorry/index">pick the hydrants</form>')]
-    )
+def test_block_page_in_200_response(server):
+    server.serve((200, b'<form action="/sorry/index">pick the hydrants</form>', {}))
     with pytest.raises(RateLimited):
-        fetch_serp_page(live_plan(), 1, DAY, session=session, sleep=lambda _: None)
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
 
 
-def test_network_failure_maps_to_transport_error():
-    session = FakeSession([requests.ConnectionError("refused")])
-    with pytest.raises(TransportError):
-        fetch_serp_page(live_plan(), 1, DAY, session=session, sleep=lambda _: None)
+def test_network_failure_maps_to_transport_error(refused):
+    with pytest.raises(TransportError, match="^fetch failed for page 1: "):
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
 
 
-def test_http_500_maps_to_transport_error():
-    session = FakeSession([FakeResponse(status=500)])
-    with pytest.raises(TransportError):
-        fetch_serp_page(live_plan(), 1, DAY, session=session, sleep=lambda _: None)
+def test_http_500_maps_to_transport_error(server):
+    server.serve((500, b"", {}))
+    with pytest.raises(TransportError, match="^HTTP 500 for page 1$"):
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
 
 
 def test_plan_validation():
@@ -181,19 +234,58 @@ def test_build_snapshot_stops_at_block_page(serp_root):
         build_snapshot(plan, date(2017, 9, 9))
 
 
-def test_build_snapshot_live_uses_session_per_page():
-    pages = []
-    for n in range(1, 4):
-        pages.append(
-            FakeResponse(
-                text=f'<a href="https://site{n}.example/story"><h3>Story {n}</h3></a>'
-            )
+def test_build_snapshot_live_fetches_each_page(server):
+    server.serve(
+        *(
+            (200, f'<a href="https://site{n}.example/story"><h3>Story {n}</h3></a>'.encode(), {})
+            for n in range(1, 4)
         )
-    session = FakeSession(pages)
+    )
     slept = []
     plan = live_plan(pages=3)
-    snap = build_snapshot(plan, DAY, session=session, sleep=slept.append)
+    snap = build_snapshot(plan, DAY, sleep=slept.append)
     assert [r.page for r in snap.results] == [1, 2, 3]
     assert slept == [2.0, 2.0, 2.0]
-    starts = [c["params"]["start"] for c in session.calls]
+    starts = [_query(c["path"])["start"] for c in server.calls]
     assert starts == ["0", "10", "20"]
+
+
+def test_live_and_fixture_modes_give_one_snapshot(server, harvey_plan):
+    day_dir = fixture_page_path(harvey_plan, DAY, 1).parent
+    server.reply = lambda query: (200, (day_dir / f"p{int(query['start']) // 10 + 1}.html").read_bytes(), {})
+    live = build_snapshot(live_plan(politeness_delay=0.0), DAY)
+    assert snapshot_to_json(live) == snapshot_to_json(build_snapshot(harvey_plan, DAY))
+
+
+# -- a live scrape's failures reach the CLI as their own tags ---------------
+
+SCRAPE = ["scrape", "--query", "hurricane harvey", "--delay", "0", "--date", "2017-09-07", "--pages", "2"]
+PAGE = (200, b'<a href="https://site.example/story"><h3>Story</h3></a>', {})
+
+
+@pytest.mark.parametrize(
+    "failure, code, tag",
+    [
+        ((429, b"", {"Retry-After": "60"}), 5, "rate-limited"),
+        ((500, b"", {}), 1, "transport"),
+        ((200, b"<html>", {"Content-Length": "100"}), 1, "transport"),
+    ],
+    ids=["429", "500", "truncated"],
+)
+def test_a_failed_live_scrape_stores_nothing(capsys, tmp_path, server, failure, code, tag):
+    server.serve(PAGE, failure)  # page 1 arrives, page 2 fails
+    root = tmp_path / "col"
+    assert main([*SCRAPE, "--store", str(root)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {tag}: ") and err.count("\n") == 1, err
+    assert len(server.calls) == 2
+    assert not list(tmp_path.rglob("*.json"))
+
+
+def test_a_refused_live_scrape_is_a_transport_error(capsys, tmp_path, refused):
+    assert main([*SCRAPE, "--store", str(tmp_path / "col")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: transport: fetch failed for page 1: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.json"))

@@ -3,27 +3,10 @@
 Every public name can be imported from the package root, but its module
 loads only when the name is first used (PEP 562), so a command that never
 fits or parses loads neither the fitter nor the HTML parser. The error
-classes, which every module raises, load with the package.
+classes load the same way, so ``import serpchurn`` loads only this module.
 """
 
 from importlib import import_module
-
-from .errors import (
-    FitConvergenceError,
-    FixtureNotFound,
-    InsufficientDataError,
-    OracleScaleError,
-    RateLimited,
-    SerpChurnError,
-    SerpParseError,
-    StoreMismatchError,
-    StoreMissingError,
-    TransportError,
-    UnderdeterminedFitError,
-    UndefinedRateError,
-    UriParseError,
-    ValidationError,
-)
 
 __version__ = "0.1.0"
 

@@ -252,7 +252,6 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_compare(args) -> str:
-    from .metrics import overlap, recall
     from .render import format_compare
 
     stores = [open_store(Path(args.store_a)), open_store(Path(args.store_b))]
@@ -263,16 +262,7 @@ def _cmd_compare(args) -> str:
     label_a, label_b = (store.vertical.value for store in stores)
     if label_a == label_b:
         label_a, label_b = "a", "b"
-    return format_compare(
-        label_a,
-        label_b,
-        len(set_a),
-        len(set_b),
-        len(set_a & set_b),
-        overlap(set_a, set_b),
-        recall(set_a, set_b),
-        recall(set_b, set_a),
-    )
+    return format_compare(label_a, set_a, label_b, set_b)
 
 
 def _cmd_report(args) -> str | Iterable[str]:
@@ -299,9 +289,12 @@ def _cmd_report(args) -> str | Iterable[str]:
 
 def _read_kernel(path: str) -> Kernel:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return tuple(tuple(float(x) for x in row) for row in raw)
-    except (TypeError, ValueError, RecursionError) as e:
+        rows = [list(row) for row in json.loads(Path(path).read_text(encoding="utf-8"))]
+        bad = [x for row in rows for x in row if type(x) not in (int, float)]  # true, "1", null
+        if bad:
+            raise TypeError(f"{bad[0]!r} is not a number")
+        return tuple(tuple(map(float, row)) for row in rows)
+    except (TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ValidationError(f"kernel file {path} is not a matrix of numbers: {e}") from None
 
 

@@ -54,9 +54,8 @@ def _solve_ab(
     es = _decay(c, ks)
     e_bar, p_bar = math.fsum(es) / n, math.fsum(ps) / n
     de = [e - e_bar for e in es]
-    sxx = math.fsum(map(mul, de, de))
-    det = n * sxx  # of the normal matrix [[n, sum e], [sum e, sum e^2]]
-    if det <= 0.0:
+    sxx = math.fsum(map(mul, de, de))  # the normal matrix's determinant over n
+    if sxx <= 0.0:
         a, b = p_bar, 0.0
     else:
         b = (math.fsum(map(mul, de, ps)) - p_bar * math.fsum(de)) / sxx
@@ -138,10 +137,9 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
         # flat or rising data: the decay term carries no signal
         clamped = b < -_B_FLOOR
         a, b, c = math.fsum(ps) / len(ps), 0.0, 0.0
+    # a <= mean(ps) <= 1: the mean itself, or less since b > 0 and every e >= 0
     if a < 0.0:
         a, clamped = 0.0, True
-    elif a > 1.0:
-        a, clamped = 1.0, True
     if b > 1.0:
         b, clamped = 1.0, True
     if a + b > 1.0:

@@ -355,8 +355,6 @@ def compute_rates(
     store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
     """The report's rate cells; its probability cells stay empty."""
-    if not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
     return ChurnReport(store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
 
 
@@ -387,16 +385,12 @@ def refind_cells(
 
 def compute_refind(store: CollectionStore) -> ChurnReport:
     """The report's probability cells, pages 1-5; its rate cells stay empty."""
-    if not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
     return ChurnReport(store.vertical, {}, {}, *refind_cells(store._walk()))
 
 
 def compute_report(store: CollectionStore) -> ChurnReport:
     """Every rate at the daily, weekly and monthly lags and every refind
     probability, from one walk of the store."""
-    if not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
     timelines = store._walk()
     rates = _rate_cells(store, timelines, DEFAULT_INTERVALS)
     return ChurnReport(store.vertical, *rates, *refind_cells(timelines))

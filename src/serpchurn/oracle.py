@@ -23,6 +23,9 @@ MAX_SPAN_DAYS = 60
 
 
 def _guard(store: CollectionStore) -> None:
+    """Refuse an empty store, and one beyond desk scale."""
+    if not store.snapshots:
+        raise InsufficientDataError("store holds no snapshots")
     uris = set()
     for snap in store.snapshots.values():
         for r in snap.results:
@@ -31,12 +34,11 @@ def _guard(store: CollectionStore) -> None:
         raise OracleScaleError(
             f"{len(uris)} stories exceed the oracle limit of {MAX_STORIES}"
         )
-    if store.snapshots:
-        span = (max(store.snapshots) - min(store.snapshots)).days + 1
-        if span > MAX_SPAN_DAYS:
-            raise OracleScaleError(
-                f"{span}-day span exceeds the oracle limit of {MAX_SPAN_DAYS}"
-            )
+    span = (max(store.snapshots) - min(store.snapshots)).days + 1
+    if span > MAX_SPAN_DAYS:
+        raise OracleScaleError(
+            f"{span}-day span exceeds the oracle limit of {MAX_SPAN_DAYS}"
+        )
 
 
 def _day_set(store: CollectionStore, day: date, page: int | None) -> set[str]:
@@ -65,22 +67,18 @@ def _page_of(store: CollectionStore, day: date, uri: str) -> int:
 
 
 def oracle_report(
-    store: CollectionStore,
-    intervals: Iterable[int] = DEFAULT_INTERVALS,
-    pages: Iterable[int] = range(1, PAGES_MAX + 1),
+    store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
-    """Recompute the whole churn report the slow, obvious way."""
+    """Recompute the whole churn report, pages 1-5, the slow, obvious way."""
     _guard(store)
-    if not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
     days = sorted(store.snapshots)
     last = days[-1]
-    page_list = list(pages)
+    pages = range(1, PAGES_MAX + 1)
 
     replacement: dict[tuple[int, int | None], ReportCell] = {}
     new_story: dict[tuple[int, int | None], ReportCell] = {}
     for lag in intervals:
-        for page in [None, *page_list]:
+        for page in [None, *pages]:
             repl_rates = []
             new_rates = []
             for d in days:
@@ -109,7 +107,7 @@ def oracle_report(
     for k in range(span):
         eligible = 0
         seen = 0
-        on_page = {m: 0 for m in page_list}
+        on_page = {m: 0 for m in pages}
         for uri, born in first.items():
             day = born + timedelta(days=k)
             if day > last or day not in store.snapshots:
@@ -123,7 +121,7 @@ def oracle_report(
         if eligible == 0:
             continue
         prob[k] = ReportCell(float(Fraction(seen, eligible)), eligible)
-        for m in page_list:
+        for m in pages:
             prob_page[(k, m)] = ReportCell(
                 float(Fraction(on_page[m], eligible)), eligible
             )
@@ -141,8 +139,6 @@ def oracle_transition_counts(store: CollectionStore) -> list[list[int]]:
     """Day-to-day state pair counts, one story and one calendar day at a
     time. Pairs spanning an unscraped day contribute nothing."""
     _guard(store)
-    if not store.snapshots:
-        raise InsufficientDataError("store holds no snapshots")
     days = sorted(store.snapshots)
     first = _first_seen(store)
     counts = [[0] * N_STATES for _ in range(N_STATES)]

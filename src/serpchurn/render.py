@@ -8,10 +8,9 @@ no scripts and no external assets.
 from __future__ import annotations
 
 from datetime import timedelta
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
-from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, rate_rows
+from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, overlap, rate_rows, recall
 from .model import PAGES_MAX, RefindabilityModel, StoryTimeline
 
 # Fill colors for page states 1-5 on the temporal grid and bar charts.
@@ -203,22 +202,13 @@ def format_timelines(timelines: Sequence[StoryTimeline]) -> Iterator[str]:
         yield f"{t.first_seen.isoformat()}  {t.notation()}  {t.canonical_uri}\n"
 
 
-def format_compare(
-    label_a: str,
-    label_b: str,
-    size_a: int,
-    size_b: int,
-    common: int,
-    overlap_coef: Fraction,
-    recall_ab: Fraction,
-    recall_ba: Fraction,
-) -> str:
+def format_compare(label_a: str, set_a: AbstractSet[str], label_b: str, set_b: AbstractSet[str]) -> str:
     return (
         f"{'collection':<12} {'stories':>8}\n"
-        f"{label_a:<12} {size_a:>8}\n"
-        f"{label_b:<12} {size_b:>8}\n"
-        f"common       {common:>8}\n"
-        f"overlap      {float(overlap_coef):>8.4f}\n"
-        f"recall {label_a}->{label_b}: {float(recall_ab):.4f}\n"
-        f"recall {label_b}->{label_a}: {float(recall_ba):.4f}\n"
+        f"{label_a:<12} {len(set_a):>8}\n"
+        f"{label_b:<12} {len(set_b):>8}\n"
+        f"common       {len(set_a & set_b):>8}\n"
+        f"overlap      {float(overlap(set_a, set_b)):>8.4f}\n"
+        f"recall {label_a}->{label_b}: {float(recall(set_a, set_b)):.4f}\n"
+        f"recall {label_b}->{label_a}: {float(recall(set_b, set_a)):.4f}\n"
     )

@@ -4,8 +4,8 @@ Two fetch modes share one code path: live mode fetches each page over
 HTTP with ``urllib.request``, throttled, and a plan with a ``fixture_dir``
 replays previously saved page bytes from a directory tree laid out as
 ``<root>/<query-slug>/<vertical>/<YYYY-MM-DD>/p<N>.html``. Both feed the
-same extractor, which pulls heading-anchored result links out of the
-markup and unwraps redirect-style hrefs.
+same extractor, which refuses block pages, pulls heading-anchored result
+links out of the markup and unwraps redirect-style hrefs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import FixtureNotFound, RateLimited, TransportError
-from .model import DEFAULT_DELAY, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
+from .model import DEFAULT_DELAY, PAGES_MAX, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
 
 SEARCH_URL = "https://www.google.com/search"
 RESULTS_PER_PAGE = 10
@@ -47,8 +47,8 @@ class FetchPlan:
     def __post_init__(self):
         if not self.query.strip():
             raise ValueError("query must be non-empty")
-        if not 1 <= self.pages <= 5:
-            raise ValueError(f"pages must be in [1,5], got {self.pages}")
+        if not 1 <= self.pages <= PAGES_MAX:
+            raise ValueError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
         if not math.isfinite(self.politeness_delay):
             raise ValueError(f"politeness_delay must be finite, got {self.politeness_delay}")
         if self.politeness_delay < 0:
@@ -77,11 +77,6 @@ def fixture_page_path(plan: FetchPlan, day: date, page_no: int) -> Path:
     )
 
 
-def _looks_blocked(text: str) -> bool:
-    lowered = text.lower()
-    return any(marker in lowered for marker in _BLOCK_MARKERS)
-
-
 def fetch_serp_page(
     plan: FetchPlan,
     page_no: int,
@@ -92,10 +87,10 @@ def fetch_serp_page(
     """Fetch the raw bytes of one result page.
 
     Fixture mode is a pure file read. Live mode sleeps the politeness
-    delay before each request and maps HTTP 429 / block interstitials to
-    RateLimited and network failures to TransportError. Only live mode
-    imports the HTTP client, which honours ``https_proxy`` and any opener
-    installed with ``urllib.request.install_opener``.
+    delay before each request and maps HTTP 429 to RateLimited and network
+    failures to TransportError; the parser judges block pages. Only live
+    mode imports the HTTP client, which honours ``https_proxy`` and any
+    opener installed with ``urllib.request.install_opener``.
     """
     if plan.fixture_dir is not None:
         path = fixture_page_path(plan, day, page_no)
@@ -136,8 +131,6 @@ def fetch_serp_page(
         raise TransportError(f"HTTP {e.code} for page {page_no}") from None
     except (OSError, http.client.HTTPException) as e:  # refused, DNS, timeout, TLS, truncated
         raise TransportError(f"fetch failed for page {page_no}: {e}") from e
-    if _looks_blocked(body.decode("utf-8", errors="replace")):
-        raise RateLimited("block page served instead of results")
     return body
 
 
@@ -219,7 +212,8 @@ def parse_serp_html(html: str | bytes) -> list[tuple[str, str]]:
     RateLimited if the bytes are a block interstitial.
     """
     text = html.decode("utf-8", errors="replace") if isinstance(html, bytes) else html
-    if _looks_blocked(text):
+    lowered = text.lower()
+    if any(marker in lowered for marker in _BLOCK_MARKERS):
         raise RateLimited("block page served instead of results")
     extractor = _ResultLinkExtractor()
     extractor.feed(text)

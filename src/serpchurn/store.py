@@ -189,7 +189,9 @@ class CollectionStore:
         """Each story's timeline, in first-seen order: one pass over every
         stored link, which counts at its first placement that day. Stories
         first seen on the same day share one unscraped set. The store's
-        snapshots were checked, so the timelines are not."""
+        snapshots were checked, so the timelines are not. Refuses an empty store."""
+        if not self.snapshots:
+            raise InsufficientDataError("store holds no snapshots")
         days = self.manifest.calendar
         stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
         gaps: list[int] = []
@@ -216,8 +218,6 @@ class CollectionStore:
         last date the store covers; days without a snapshot are unscraped.
         A URI listed twice in one snapshot counts at its first placement.
         """
-        if not self.snapshots:
-            raise InsufficientDataError("store holds no snapshots")
         return tuple(sorted(self._walk(), key=attrgetter("first_seen", "canonical_uri")))
 
 

@@ -90,13 +90,9 @@ def _kernel_move(row: tuple[float, ...], u: float) -> int:
 
 
 def _snapshot(params: SynthParams, day_idx: int, states: dict[int, int]) -> SerpSnapshot:
-    position = {sid: i for i, sid in enumerate(states)}
-    visible = sorted(
-        (state, position[sid], sid) for sid, state in states.items() if state >= 1
-    )
-    links = [
-        (f"synth://story/{sid}", f"Story {sid}", state) for state, _, sid in visible
-    ]
+    # by page, then insertion order: a fresh story gets the next id and a move keeps its key
+    visible = sorted((state, sid) for sid, state in states.items() if state >= 1)
+    links = [(f"synth://story/{sid}", f"Story {sid}", state) for state, sid in visible]
     return SerpSnapshot(
         query=params.topic,
         vertical=params.vertical,

@@ -33,6 +33,11 @@ def test_default_ports_dropped_other_ports_kept():
     assert canonicalize("http://example.org:8080/x") == "example.org:8080/x"
 
 
+def test_an_ipv6_host_keeps_its_brackets():
+    assert canonicalize("https://[2001:DB8::1]:443/a/") == "[2001:db8::1]/a"
+    assert canonicalize("http://[::1]:8080/x") == "[::1]:8080/x"
+
+
 def test_trailing_slashes_stripped():
     assert canonicalize("https://example.org/a/") == "example.org/a"
     assert canonicalize("https://example.org/a///") == "example.org/a"

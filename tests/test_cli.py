@@ -552,6 +552,30 @@ def test_compare_verticals(capsys, tmp_path, serp_root, harvey_store):
     assert "recall general->news" in out
 
 
+def test_compare_of_one_vertical_labels_the_stores_a_and_b(capsys, synth_store):
+    code, out, _ = run(capsys, "compare", "--store-a", str(synth_store), "--store-b", str(synth_store))
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[0] for row in rows[1:3]] == ["a", "b"]
+    assert rows[1][1] == rows[2][1] == rows[3][1]  # each store shares all its stories
+    assert rows[4:] == [["overlap", "1.0000"], ["recall", "a->b:", "1.0000"], ["recall", "b->a:", "1.0000"]]
+
+
+def test_ingest_of_a_missing_file_is_3(capsys, tmp_path):
+    assert run(capsys, "ingest", "nope.json", "--store", str(tmp_path / "col")) == (
+        3, "", "error: store-missing: no snapshot file at nope.json\n"
+    )
+    assert not (tmp_path / "col").exists()
+
+
+def test_ingest_of_empty_stdin_is_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    assert run(capsys, "ingest", "-", "--store", str(tmp_path / "col")) == (
+        4, "", "error: insufficient-data: nothing to ingest\n"
+    )
+    assert not (tmp_path / "col").exists()
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "serpchurn", "--help"], capture_output=True, text=True
@@ -588,9 +612,20 @@ def test_reads_leave_the_manifest_alone(capsys, synth_store):
 # -- input errors are validation errors; anything else is internal ----------
 
 
+def _identity(one, zero) -> str:
+    """A 6x6 identity kernel spelled with these entries."""
+    return json.dumps([[one if i == j else zero for j in range(6)] for i in range(6)])
+
+
 @pytest.mark.parametrize(
     "content",
-    ["5", "[[null]]", "not json", '[[1, "x"]]', pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000")],
+    [
+        "5", "[[null]]", "not json", '[[1, "x"]]',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
+        pytest.param(_identity(True, False), id="bools"),
+        pytest.param(_identity("1", "0"), id="strings"),
+        pytest.param(_identity(10**400, 0), id="int-past-float"),
+    ],
 )
 def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
     kernel = tmp_path / "kernel.json"
@@ -617,6 +652,7 @@ def test_a_non_finite_kernel_is_a_validation_error(capsys, tmp_path, entry):
         ["scrape", "--query", "q", "--date", "2017-13-01"],
         ["scrape", "--query", "q", "--date-start", "soon", "--date-end", "2017-09-08"],
         ["scrape", "--query", "q", "--date-start", "2017-09-08", "--date-end", "2017-09-07"],
+        ["scrape", "--query", "q", "--date-start", "2017-09-07"],
         ["scrape", "--query", " "],
         ["scrape", "--query", "q", "--pages", "6"],
         ["scrape", "--query", "q", "--delay", "-1"],
@@ -626,8 +662,8 @@ def test_a_non_finite_kernel_is_a_validation_error(capsys, tmp_path, entry):
         ["synth", "--days", "5", "--start", "9999-12-30"],
     ],
     ids=[
-        "date", "date-start", "reversed-window", "empty-query", "pages", "delay", "delay-nan",
-        "delay-inf", "start",
+        "date", "date-start", "reversed-window", "date-start-alone", "empty-query", "pages", "delay",
+        "delay-nan", "delay-inf", "start",
         "span-past-date-max",
     ],
 )

@@ -183,6 +183,14 @@ def test_model_doc_round_trip():
     }
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.integers(0, 60), st.floats(0.0, 1.0), min_size=4, max_size=12))
+def test_the_fitted_level_never_exceeds_the_mean(points):
+    # why a fit never needs pulling down to a = 1
+    ps = list(points.values())
+    assert fit_exponential(list(points.items())).a <= math.fsum(ps) / len(ps)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.floats(0.0, 0.3),

@@ -473,6 +473,38 @@ class TestTemporalMatrix:
         m = temporal_matrix(tls, start=D(1), days=3)
         assert grid_states(m) == ((1, None, 0),)
 
+    def test_a_span_under_one_day_is_rejected(self):
+        with pytest.raises(ValidationError, match="^span must be >= 1 day, got 0$"):
+            temporal_matrix((), start=D(1), days=0)
+
+    @pytest.mark.parametrize(
+        "timeline", [tl(1, first=D(1)), tl(1, 0, 0, first=D(2))], ids=["before", "after"]
+    )
+    def test_a_timeline_outside_the_span_is_rejected(self, timeline):
+        with pytest.raises(ValidationError, match="^timeline for x.example/s falls outside the span$"):
+            temporal_matrix((timeline,), start=D(2), days=2)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda store: avg_interval_rate(store, 1, RateKind.REPLACEMENT),
+        compute_rates,
+        compute_refind,
+        compute_report,
+        CollectionStore.build_timelines,
+        oracle_report,
+        oracle_transition_counts,
+    ],
+    ids=[
+        "avg_interval_rate", "compute_rates", "compute_refind", "compute_report", "build_timelines",
+        "oracle_report", "oracle_transition_counts",
+    ],
+)
+def test_every_count_refuses_an_empty_store(count):
+    with pytest.raises(InsufficientDataError, match="^store holds no snapshots$"):
+        count(CollectionStore("topic", Vertical.GENERAL))
+
 
 class TestStorePath:
     """The store builds sparse timelines in one walk; every count reads them."""

@@ -1,7 +1,6 @@
 import hashlib
 import tracemalloc
 from datetime import date, timedelta
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -241,9 +240,13 @@ def test_timeline_listing_uses_brace_notation():
     assert "a.example/s" in text
 
 
+def test_no_timelines_list_as_one_newline():
+    assert list(format_timelines(())) == ["\n"]
+
+
 def test_compare_block():
-    text = format_compare(
-        "general", "news", 100, 80, 40, Fraction(1, 2), Fraction(2, 5), Fraction(1, 2)
-    )
+    general = {f"s{i}" for i in range(100)}
+    news = {f"s{i}" for i in range(60, 140)}  # 80 stories, 40 of them shared
+    text = format_compare("general", general, "news", news)
     assert "overlap" in text and "0.5000" in text
     assert "recall general->news: 0.4000" in text

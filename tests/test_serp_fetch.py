@@ -180,7 +180,7 @@ def test_http_429_default_backoff(server, headers):
 def test_block_page_in_200_response(server):
     server.serve((200, b'<form action="/sorry/index">pick the hydrants</form>', {}))
     with pytest.raises(RateLimited):
-        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
+        build_snapshot(live_plan(), DAY, sleep=lambda _: None)
 
 
 def test_network_failure_maps_to_transport_error(refused):
@@ -269,8 +269,9 @@ PAGE = (200, b'<a href="https://site.example/story"><h3>Story</h3></a>', {})
         ((429, b"", {"Retry-After": "60"}), 5, "rate-limited"),
         ((500, b"", {}), 1, "transport"),
         ((200, b"<html>", {"Content-Length": "100"}), 1, "transport"),
+        ((200, b'<div class="g-recaptcha"></div>', {}), 5, "rate-limited"),
     ],
-    ids=["429", "500", "truncated"],
+    ids=["429", "500", "truncated", "block-page"],
 )
 def test_a_failed_live_scrape_stores_nothing(capsys, tmp_path, server, failure, code, tag):
     server.serve(PAGE, failure)  # page 1 arrives, page 2 fails

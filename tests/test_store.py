@@ -343,6 +343,13 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     assert _files(root) == before
 
 
+def test_open_store_skips_a_leftover_temporary_file(tmp_path):
+    root = tmp_path / "col"
+    store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, [snap(1, [("a", 1)])], root=root)
+    (root / "snapshots" / "2024-01-02.json.x1y2.tmp").write_text("{half a docu", encoding="utf-8")
+    assert open_store(root).snapshots == store.snapshots
+
+
 def test_concurrent_writers_keep_every_day(tmp_path, child_env):
     root = tmp_path / "col"
     days = [D(1) + timedelta(days=i) for i in range(40)]

@@ -16,6 +16,7 @@ from serpchurn.model import Vertical
 from serpchurn.oracle import oracle_report, oracle_transition_counts
 from serpchurn.synth import (
     SynthParams,
+    _kernel_move,
     generate,
     iter_snapshots,
     validate_kernel,
@@ -89,6 +90,11 @@ def test_kernel_moves_between_pages():
     assert [r.page for r in snaps[0].results] == [1, 1]
     assert [r.page for r in snaps[1].results] == [2, 2]
     assert [r.page for r in snaps[2].results] == [1, 1]
+
+
+def test_a_draw_past_a_row_short_of_one_lands_in_the_last_state():
+    row = (1.0 - 1e-10, 0.0, 0.0, 0.0, 0.0, 0.0)  # within the row-sum tolerance
+    assert _kernel_move(row, 1.0 - 1e-11) == 5
 
 
 def test_kernel_reentry_from_state_zero():

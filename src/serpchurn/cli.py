@@ -101,10 +101,7 @@ def _interval_days(text: str) -> int:
         return _INTERVAL_NAMES[key]
     if not re.fullmatch(r"-?[0-9]+d?", key):
         raise ValidationError(f"unknown interval {text!r}")
-    days = int(key.removesuffix("d"))
-    if days < 1:
-        raise ValidationError(f"interval must be >= 1 day, got {days}")
-    return days
+    return int(key.removesuffix("d"))
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -129,11 +126,9 @@ def _table(report: ChurnReport, fmt: str, text_table: Callable[[ChurnReport], st
 def _fit(
     store: CollectionStore, max_k: int | None = None
 ) -> tuple[list[tuple[int, float]], RefindabilityModel]:
-    """Refind points up to ``max_k`` (default: the span's last offset) and their fit."""
+    """Refind points up to ``max_k`` (default: every offset) and their fit."""
     from .fitting import fit_exponential, refind_points
 
-    if max_k is None:
-        max_k = len(store.manifest.calendar) - 1
     points = refind_points(store.build_timelines(), max_k)
     return points, fit_exponential(points)
 
@@ -255,10 +250,7 @@ def _cmd_compare(args) -> str:
     from .render import format_compare
 
     stores = [open_store(Path(args.store_a)), open_store(Path(args.store_b))]
-    set_a, set_b = (
-        {r.canonical_uri for s in store.snapshots.values() for r in s.results}
-        for store in stores
-    )
+    set_a, set_b = (store.stories() for store in stores)
     label_a, label_b = (store.vertical.value for store in stores)
     if label_a == label_b:
         label_a, label_b = "a", "b"
@@ -325,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="serpchurn",
         description="Track story URIs across result pages over time.",
     )
+    parser.set_defaults(output=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_store(p, flag="--store"):
@@ -348,53 +341,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date-start", default=None, help="restrict results from")
     p.add_argument("--date-end", default=None, help="restrict results to")
     add_store(p)
-    p.set_defaults(func=_cmd_scrape, output=None)
 
     p = sub.add_parser("ingest", help="add snapshot documents to a collection")
     p.add_argument("files", nargs="+", help="snapshot JSON files, or - for stdin")
     add_store(p)
-    p.set_defaults(func=_cmd_ingest, output=None)
 
     p = sub.add_parser("stats", help="collection totals")
     add_store(p)
-    p.set_defaults(func=_cmd_stats, output=None)
 
     p = sub.add_parser("timelines", help="per-story page observations")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_timelines)
 
     p = sub.add_parser("metrics", help="replacement and new-story rates")
     p.add_argument("--intervals", default="daily,weekly,monthly")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("prob", help="probability of refinding by day offset")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_prob)
 
     p = sub.add_parser("transitions", help="day-to-day page movement")
     p.add_argument("--counts", action="store_true", help="raw counts, not rates")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_transitions)
 
     p = sub.add_parser("fit", help="fit the refind decay model")
     p.add_argument("--vertical", choices=["general", "news"], default=None)
     p.add_argument("--max-k", type=int, default=None, help="last day offset fitted (default: the span's)")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("compare", help="story overlap between two collections")
     p.add_argument("--store-a", required=True)
     p.add_argument("--store-b", required=True)
     add_output(p)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="render one view of a collection")
     p.add_argument("--kind", choices=["fit-curve", "page-chart", "temporal-grid"], required=True)
@@ -402,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="daily", help="interval for page-chart")
     add_store(p)
     add_output(p)
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic collection")
     p.add_argument("--days", type=int, required=True)
@@ -415,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertical", choices=["general", "news"], default="general")
     p.add_argument("--start", default="2024-01-01")
     add_store(p)
-    p.set_defaults(func=_cmd_synth, output=None)
 
     return parser
 
@@ -427,7 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        text = args.func(args)
+        text = globals()[f"_cmd_{args.command}"](args)  # each command runs its _cmd_<command>
         if text is not None:  # else the command wrote what it had
             _emit(text, args.output)
         return 0
@@ -443,7 +425,3 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,11 +73,7 @@ class UnderdeterminedFitError(InsufficientDataError):
 
 
 class FitConvergenceError(SerpChurnError):
-    """The fit's error went non-finite; ``sse`` carries the offending value."""
-
-    def __init__(self, message: str, sse: float | None = None):
-        super().__init__(message)
-        self.sse = sse
+    """The fit's error went non-finite."""
 
 
 class ValidationError(SerpChurnError):

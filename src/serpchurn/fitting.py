@@ -63,8 +63,8 @@ def _solve_ab(
     return a, b, _sse(a, b, es, ps)
 
 
-def _golden_refine(ks, ps, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink [lo, hi] around the SSE minimum in c.
+def _golden_refine(ks, ps, lo: float, hi: float) -> float:
+    """Shrink [lo, hi] around the SSE minimum in c and return the best c.
 
     Stops once an iteration improves SSE by less than a 1e-12 relative
     step, or after a fixed budget; on noiseless data the budget runs out
@@ -92,7 +92,7 @@ def _golden_refine(ks, ps, lo: float, hi: float) -> tuple[float, float]:
             best_c, best_f = cand_c, cand_f
             if gain / floor < _REL_TOL:
                 break
-    return best_c, best_f
+    return best_c
 
 
 def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel:
@@ -128,7 +128,7 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     i = sses.index(min(sses))  # ties resolve to the smallest c
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    c, _ = _golden_refine(ks, ps, lo, hi)
+    c = _golden_refine(ks, ps, lo, hi)
     a, b, _ = _solve_ab(c, ks, ps)
 
     degenerate = b < _B_FLOOR
@@ -146,17 +146,17 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
         b, clamped = 1.0 - a, True
     sse = _sse(a, b, _decay(c, ks), ps)
     if not math.isfinite(sse):
-        raise FitConvergenceError("refinement produced non-finite error", sse=sse)
+        raise FitConvergenceError("refinement produced non-finite error")
     return RefindabilityModel(
         a=a, b=b, c=c, sse=sse, degenerate=degenerate, clamped=clamped
     )
 
 
-def refind_points(timelines: Sequence[StoryTimeline], max_k: int) -> list[tuple[int, float]]:
-    """(k, observed probability) pairs for k = 0..max_k, skipping days
-    where no timeline was eligible."""
+def refind_points(timelines: Sequence[StoryTimeline], max_k: int | None = None) -> list[tuple[int, float]]:
+    """(k, observed probability) pairs for k = 0..max_k (default: every
+    offset), skipping days where no timeline was eligible."""
     prob, _ = refind_cells(timelines, ())
-    return [(k, cell.value) for k, cell in prob.items() if k <= max_k]
+    return [(k, cell.value) for k, cell in prob.items() if max_k is None or k <= max_k]
 
 
 def eval_model(model: RefindabilityModel, k: float) -> float:

@@ -31,6 +31,13 @@ def _fmt(x: float) -> str:
 # -- SVG ----------------------------------------------------------------
 
 
+def _svg(width: int, height: int) -> str:
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+
+
 def temporal_grid_lines(matrix: TemporalMatrix) -> Iterator[str]:
     """Story-by-day grid; exactly one 12-pixel square rect per cell.
 
@@ -45,8 +52,7 @@ def temporal_grid_lines(matrix: TemporalMatrix) -> Iterator[str]:
     width = matrix.days * cell if rows else 0
     height = rows * cell
     yield (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
+        _svg(width, height) + "\n"
         "<defs>\n"
         '<pattern id="gap" width="6" height="6" patternUnits="userSpaceOnUse">\n'
         '<line x1="0" y1="6" x2="6" y2="0" stroke="#999999" stroke-width="1"/>\n'
@@ -86,10 +92,7 @@ def render_page_rate_bars(rates: Sequence[tuple[int, float]]) -> str:
     n = max(len(rates), 1)
     slot = (width - 2 * pad) / n
     bar_w = slot * 0.7
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
+    parts = [_svg(width, height)]
     for i, (page, value) in enumerate(rates):
         clamped = min(1.0, max(0.0, value))
         bar_h = clamped * chart_h
@@ -135,8 +138,7 @@ def render_fit_curve(
         k = max_k * i / steps
         samples.append(f"{sx(k):.1f},{sy(eval_model(model, k)):.1f}")
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        _svg(width, height),
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
         'stroke="#333333" stroke-width="1"/>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '

@@ -127,7 +127,7 @@ def fetch_serp_page(
                 retry_after = float(e.headers.get("Retry-After", retry_after))
             except (TypeError, ValueError):
                 pass
-            raise RateLimited("server returned 429", retry_after=retry_after) from None
+            raise RateLimited(f"server returned 429; retry after {retry_after:g} s", retry_after) from None
         raise TransportError(f"HTTP {e.code} for page {page_no}") from None
     except (OSError, http.client.HTTPException) as e:  # refused, DNS, timeout, TLS, truncated
         raise TransportError(f"fetch failed for page {page_no}: {e}") from e
@@ -209,12 +209,10 @@ def parse_serp_html(html: str | bytes) -> list[tuple[str, str]]:
 
     Redirect hrefs are unwrapped; only absolute http(s) targets survive,
     which drops internal navigation and anchor-less headings. Raises
-    RateLimited if the bytes are a block interstitial.
+    RateLimited if the bytes are a block interstitial: a page that yields
+    no result link and carries a block marker.
     """
     text = html.decode("utf-8", errors="replace") if isinstance(html, bytes) else html
-    lowered = text.lower()
-    if any(marker in lowered for marker in _BLOCK_MARKERS):
-        raise RateLimited("block page served instead of results")
     extractor = _ResultLinkExtractor()
     extractor.feed(text)
     extractor.close()
@@ -224,6 +222,10 @@ def parse_serp_html(html: str | bytes) -> list[tuple[str, str]]:
         parts = urlsplit(target)
         if parts.scheme in ("http", "https") and parts.netloc:
             out.append((target, title))
+    if not out:
+        lowered = text.lower()
+        if any(marker in lowered for marker in _BLOCK_MARKERS):
+            raise RateLimited("block page served instead of results")
     return out
 
 

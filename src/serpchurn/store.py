@@ -177,13 +177,14 @@ class CollectionStore:
     def sorted_snapshots(self) -> list[SerpSnapshot]:
         return [self.snapshots[d] for d in sorted(self.snapshots)]
 
+    def stories(self) -> set[str]:
+        """The canonical URI of every stored link."""
+        return {r.canonical_uri for s in self.snapshots.values() for r in s.results}
+
     def collection_stats(self) -> tuple[int, int, int]:
         """(total result links, distinct canonical URIs, span in days)."""
         total = sum(len(s.results) for s in self.snapshots.values())
-        uniq = {
-            r.canonical_uri for s in self.snapshots.values() for r in s.results
-        }
-        return total, len(uniq), len(self.manifest.calendar)
+        return total, len(self.stories()), len(self.manifest.calendar)
 
     def _walk(self) -> list[StoryTimeline]:
         """Each story's timeline, in first-seen order: one pass over every

@@ -1,4 +1,5 @@
 import os
+import shutil
 from datetime import date
 from pathlib import Path
 
@@ -38,6 +39,23 @@ def fixture_root() -> Path:
 @pytest.fixture(scope="session")
 def serp_root() -> Path:
     return FIXTURES / "serp"
+
+
+@pytest.fixture
+def headline_marker_root(tmp_path, serp_root) -> Path:
+    """A copy of the saved pages whose 2017-09-07 general p1 carries a block
+    marker in a section heading, beside its ten result links."""
+    root = tmp_path / "serp"
+    shutil.copytree(serp_root, root)
+    page = root / "hurricane-harvey" / "general" / "2017-09-07" / "p1.html"
+    html = page.read_text(encoding="utf-8")
+    heading = '<h3 class="r">People also ask</h3>'
+    assert html.count(heading) == 1
+    page.write_text(
+        html.replace(heading, '<h3 class="r">Harvey floods bring unusual traffic to I-45</h3>'),
+        encoding="utf-8",
+    )
+    return root
 
 
 @pytest.fixture(scope="session")

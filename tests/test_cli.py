@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import serpchurn
-from serpchurn import errors
+from serpchurn import cli, errors
 from serpchurn.cli import main
 from serpchurn.errors import SerpParseError
 from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links, snapshot_to_json
@@ -239,6 +240,24 @@ def test_scraped_fixture_collection(capsys, harvey_store):
     assert "vertical:   general" in out
 
 
+def test_stats_counts_the_stores_stories(capsys, harvey_store):
+    _, out, _ = run(capsys, "stats", "--store", str(harvey_store))
+    assert f"stories:    {len(open_store(harvey_store).stories())}\n" in out
+
+
+def test_a_block_marker_beside_result_links_is_scraped(capsys, tmp_path, serp_root, headline_marker_root):
+    stored = []
+    for i, pages in enumerate((serp_root, headline_marker_root)):
+        root = tmp_path / f"col{i}"
+        code, out, err = run(
+            capsys, "scrape", "--query", "hurricane harvey", "--fixture", str(pages),
+            "--delay", "0", "--date", "2017-09-07", "--store", str(root),
+        )
+        assert (code, out, err) == (0, "", "ingested 2017-09-07: 50 links\n")
+        stored.append((root / "snapshots" / "2017-09-07.json").read_bytes())
+    assert stored[0] == stored[1]
+
+
 def test_metrics_csv_contains_exact_daily_rate(capsys, harvey_store):
     code, out, _ = run(
         capsys, "metrics", "--format", "csv", "--store", str(harvey_store)
@@ -388,6 +407,29 @@ def test_an_interval_count_is_ascii_digits(capsys, synth_store, command):
         assert run(capsys, *command, bad, *store) == (
             2, "", f"error: validation: unknown interval {bad!r}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "argv, lag",
+    [
+        (["metrics", "--intervals", "0"], 0),
+        (["metrics", "--intervals=-7d"], -7),
+        (["report", "--kind", "page-chart", "--interval", "0"], 0),
+    ],
+    ids=["metrics-0", "metrics-minus-7d", "page-chart-0"],
+)
+def test_a_lag_under_one_day_is_a_validation_error(capsys, synth_store, argv, lag):
+    capsys.readouterr()
+    assert run(capsys, *argv, "--store", str(synth_store)) == (
+        2, "", f"error: validation: interval must be >= 1 day, got {lag}\n"
+    )
+
+
+def test_every_interval_is_parsed_before_any_is_checked(capsys, synth_store):
+    capsys.readouterr()
+    assert run(capsys, "metrics", "--intervals", "0,abc", "--store", str(synth_store)) == (
+        2, "", "error: validation: unknown interval 'abc'\n"
+    )
 
 
 @pytest.mark.parametrize("days", ["400", "3000000", "999999999", "1000000000"])
@@ -574,6 +616,13 @@ def test_ingest_of_empty_stdin_is_4(capsys, monkeypatch, tmp_path):
         4, "", "error: insufficient-data: nothing to ingest\n"
     )
     assert not (tmp_path / "col").exists()
+
+
+def test_every_command_has_its_handler():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 11
+    for name in sub.choices:
+        assert callable(getattr(cli, f"_cmd_{name}")), name
 
 
 def test_console_script_help():

@@ -14,6 +14,7 @@ from serpchurn.fitting import (
     refind_points,
 )
 from serpchurn.model import Vertical
+from serpchurn.synth import SynthParams, generate
 
 from builders import from_observations
 
@@ -150,6 +151,14 @@ def test_refind_points_skip_unobservable_days():
     assert [k for k, _ in refind_points(tls, 2)] == [0, 2]
     assert refind_points(tls, -1) == []
     assert refind_points(tls, -5) == []
+
+
+def test_refind_points_default_to_the_whole_span():
+    store = generate(SynthParams(days=40, replacement_rate=0.3, seed=3))
+    timelines = store.build_timelines()
+    span = len(store.manifest.calendar)
+    assert refind_points(timelines) == refind_points(timelines, span - 1)
+    assert refind_points(timelines)[-1][0] == span - 1
 
 
 def test_fit_from_timelines_smoke():

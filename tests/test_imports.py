@@ -99,6 +99,10 @@ def test_a_command_loads_only_what_it_runs(child_env, store, stream, serp_root, 
     assert sorted({*HTTP_CLIENT, *absent} & set(loaded)) == []
 
 
+def test_dir_lists_every_public_name():
+    assert set(serpchurn.__all__) <= set(dir(serpchurn))
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'serpchurn' has no attribute 'no_such_name'"):
         serpchurn.no_such_name

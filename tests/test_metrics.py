@@ -12,6 +12,7 @@ from serpchurn.cli import _interval_days
 from serpchurn.errors import InsufficientDataError, UndefinedRateError, ValidationError
 from serpchurn.metrics import (
     RateKind,
+    TransitionEstimate,
     _tally,
     avg_interval_rate,
     compute_rates,
@@ -212,10 +213,10 @@ class TestIntervalAveraging:
         for bad in ("7ddd", "+7", "\u0667d", "\u0663", "1_0"):  # ٧d and ٣: Arabic-Indic digits
             with pytest.raises(ValidationError, match=re.escape(f"unknown interval '{bad}'") + "$"):
                 _interval_days(bad)
+        # a count parses whatever its sign; the rates refuse a lag under 1
         store = store_of(snap(1, [("a", 1)]), snap(2, [("a", 1)]))
         for bad in (0, -7):
-            with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
-                _interval_days(f"{bad}d")
+            assert _interval_days(f"{bad}d") == bad
             with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
                 avg_interval_rate(store, bad, RateKind.REPLACEMENT)
 
@@ -432,6 +433,15 @@ class TestTransitions:
             transition_matrix((tl(1), tl(2, uri="y.example/s")))
         with pytest.raises(InsufficientDataError):
             transition_matrix((tl(1, None, 2),))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [((0,) * 6,) * 5, ((0,) * 6,) * 5 + ((0,) * 5,), ((0,) * 7,) * 6],
+        ids=["five-rows", "short-row", "long-rows"],
+    )
+    def test_counts_are_six_by_six(self, counts):
+        with pytest.raises(ValidationError, match="^counts must be 6x6$"):
+            TransitionEstimate(counts)
 
     @given(timelines_strategy)
     def test_defined_rows_sum_to_one(self, tls):

@@ -66,6 +66,15 @@ class TestValidation:
                 )
             )
 
+    def test_results_are_kept_as_a_tuple(self):
+        results = [_result("https://a.example/1", 1, 1), _result("https://a.example/2", 1, 2)]
+        snap = _snapshot(results)
+        assert type(snap.results) is tuple and snap.results == tuple(results)
+
+    def test_timeline_has_at_least_its_first_day(self):
+        with pytest.raises(ValueError, match="^a timeline needs at least the first-seen observation$"):
+            StoryTimeline("a.example/x", date(2024, 1, 1), 0, {0: 1})
+
     def test_timeline_first_day_must_be_on_page(self):
         with pytest.raises(ValueError):
             from_observations("a.example/x", date(2024, 1, 1), (0, 1))
@@ -106,6 +115,10 @@ class TestValidation:
             RefindabilityModel(a=0.6, b=0.6, c=1.0, sse=0.0)
         with pytest.raises(ValueError):
             RefindabilityModel(a=0.1, b=0.5, c=-1.0, sse=0.0)
+        with pytest.raises(ValueError, match="^b must be in \\[0,1\\], got 1.5$"):
+            RefindabilityModel(a=0.0, b=1.5, c=1.0, sse=0.0)
+        with pytest.raises(ValueError, match="^sse must be >= 0, got -0.1$"):
+            RefindabilityModel(a=0.1, b=0.5, c=1.0, sse=-0.1)
 
     def test_vertical_wire_names(self):
         assert Vertical.from_wire("general") is Vertical.GENERAL

@@ -167,6 +167,7 @@ def test_http_429_maps_to_rate_limited(server):
     with pytest.raises(RateLimited) as exc:
         fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
     assert exc.value.retry_after == 60.0
+    assert str(exc.value) == "server returned 429; retry after 60 s"
 
 
 @pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}], ids=["missing", "unparseable"])
@@ -175,6 +176,7 @@ def test_http_429_default_backoff(server, headers):
     with pytest.raises(RateLimited) as exc:
         fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
     assert exc.value.retry_after == 300.0
+    assert str(exc.value) == "server returned 429; retry after 300 s"
 
 
 def test_block_page_in_200_response(server):
@@ -264,22 +266,22 @@ PAGE = (200, b'<a href="https://site.example/story"><h3>Story</h3></a>', {})
 
 
 @pytest.mark.parametrize(
-    "failure, code, tag",
+    "failure, code, line",
     [
-        ((429, b"", {"Retry-After": "60"}), 5, "rate-limited"),
-        ((500, b"", {}), 1, "transport"),
-        ((200, b"<html>", {"Content-Length": "100"}), 1, "transport"),
-        ((200, b'<div class="g-recaptcha"></div>', {}), 5, "rate-limited"),
+        ((429, b"", {"Retry-After": "60"}), 5, "error: rate-limited: server returned 429; retry after 60 s\n"),
+        ((500, b"", {}), 1, "error: transport: "),
+        ((200, b"<html>", {"Content-Length": "100"}), 1, "error: transport: "),
+        ((200, b'<div class="g-recaptcha"></div>', {}), 5, "error: rate-limited: "),
     ],
     ids=["429", "500", "truncated", "block-page"],
 )
-def test_a_failed_live_scrape_stores_nothing(capsys, tmp_path, server, failure, code, tag):
+def test_a_failed_live_scrape_stores_nothing(capsys, tmp_path, server, failure, code, line):
     server.serve(PAGE, failure)  # page 1 arrives, page 2 fails
     root = tmp_path / "col"
     assert main([*SCRAPE, "--store", str(root)]) == code
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {tag}: ") and err.count("\n") == 1, err
+    assert err.startswith(line) and err.count("\n") == 1, err
     assert len(server.calls) == 2
     assert not list(tmp_path.rglob("*.json"))
 

@@ -113,6 +113,15 @@ def test_block_markers_individually():
             parse_serp_html(f"<html><body>{marker}</body></html>")
 
 
+def test_a_marker_beside_result_links_is_no_block(headline_marker_root, serp_root):
+    # a heading mentioning "unusual traffic" on a page of results is news, not a block
+    page = _page(headline_marker_root, "general", "2017-09-07", 1)
+    assert b"unusual traffic" in page
+    marked = parse_serp_html(page)
+    assert len(marked) == 10
+    assert marked == parse_serp_html(_page(serp_root, "general", "2017-09-07", 1))
+
+
 def test_empty_page_parses_to_nothing():
     assert parse_serp_html("<html><body><p>no results</p></body></html>") == []
 

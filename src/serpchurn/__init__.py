@@ -2,7 +2,7 @@
 
 Every public name can be imported from the package root, but its module
 loads only when the name is first used (PEP 562), so a command that never
-fits or parses loads neither the fitter nor the HTML parser. The error
+fits or parses loads neither the fitter nor the result-page scanner. The error
 classes load the same way, so ``import serpchurn`` loads only this module.
 """
 

@@ -16,6 +16,7 @@ or validation error, 3 missing store or fixture, 4 not enough data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -312,6 +313,7 @@ def _cmd_synth(args) -> Iterable[str] | None:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serpchurn",

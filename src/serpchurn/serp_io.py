@@ -15,7 +15,7 @@ import re
 import time
 from dataclasses import dataclass
 from datetime import date
-from html.parser import HTMLParser
+from html import unescape
 from pathlib import Path
 from urllib.parse import parse_qs, urlencode, urlsplit
 
@@ -122,11 +122,9 @@ def fetch_serp_page(
     except urllib.error.HTTPError as e:  # an OSError too, so caught first
         e.close()
         if e.code == 429:
-            retry_after = 300.0
-            try:
-                retry_after = float(e.headers.get("Retry-After", retry_after))
-            except (TypeError, ValueError):
-                pass
+            # HTTP delay-seconds only: ASCII digits, so no date, sign, exponent, nan or inf
+            value = e.headers.get("Retry-After", "")
+            retry_after = float(value) if value.isascii() and value.isdigit() else 300.0
             raise RateLimited(f"server returned 429; retry after {retry_after:g} s", retry_after) from None
         raise TransportError(f"HTTP {e.code} for page {page_no}") from None
     except (OSError, http.client.HTTPException) as e:  # refused, DNS, timeout, TLS, truncated
@@ -134,59 +132,79 @@ def fetch_serp_page(
     return body
 
 
-class _ResultLinkExtractor(HTMLParser):
-    """Pulls (href, title) pairs for heading-anchored result links.
+# One attribute of a start tag: its name, then its value, quoted or bare, if any.
+_ATTR = re.compile(r"""(?<=['"\s/])([^\s/>][^\s/=>]*)(?:\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?""")
+_SEP = r"(?:\s|/(?!>))*"  # between attributes: whitespace, or a slash that does not close the tag
+# One markup token per match, cut where html.parser cuts it. A token left
+# open runs to the end of the page, so no input makes the scan slower than linear.
+_TOKEN = re.compile(
+    r"<(?:!--.*?(?:--\s*>|\Z)"  # a comment
+    r"|[!?][^>]*>?"  # a declaration or processing instruction
+    r"|/(?:\s*(?P<end>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<loose_end>[a-zA-Z][^\t\n\r\f />\x00]*)[^>]*>|[^>]*>?)"
+    rf"|(?P<start>[a-zA-Z][^\t\n\r\f />\x00]*)(?P<attrs>(?:{_SEP}{_ATTR.pattern})*{_SEP})(?:(?P<close>/?>)|.*))",
+    re.S,
+)
+# the raw text of a script or style element ends at its end tag
+_RAW_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
+
+
+def _result_links(text: str) -> list[tuple[str, str]]:
+    """(href, title) pairs for heading-anchored result links.
 
     Handles both nesting orders seen in the wild: an anchor wrapping the
     heading, and a heading wrapping the anchor. Headings without any
     anchor (section labels, question boxes) yield nothing.
     """
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.links: list[tuple[str, str]] = []
-        self._anchors: list[str] = []  # hrefs of currently open <a> tags
-        self._h3_depth = 0
-        self._h3_href: str | None = None
-        self._h3_text: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag == "a":
-            href = dict(attrs).get("href") or ""
-            self._anchors.append(href)
-            if self._h3_depth and self._h3_href is None and href:
-                self._h3_href = href
-        elif tag == "h3":
-            self._h3_depth += 1
-            if self._h3_depth == 1:
-                enclosing = self._anchors[-1] if self._anchors else ""
-                self._h3_href = enclosing or None
-                self._h3_text = []
-
-    def handle_endtag(self, tag):
-        if tag == "a" and self._anchors:
-            self._anchors.pop()
-        elif tag == "h3" and self._h3_depth:
-            self._h3_depth -= 1
-            if self._h3_depth == 0:
-                self._flush()
-
-    def handle_data(self, data):
-        if self._h3_depth:
-            self._h3_text.append(data)
-
-    def close(self):
-        super().close()
-        if self._h3_depth:  # unclosed heading in soupy markup
-            self._h3_depth = 0
-            self._flush()
-
-    def _flush(self):
-        title = " ".join("".join(self._h3_text).split())
-        if self._h3_href and title:
-            self.links.append((self._h3_href, title))
-        self._h3_href = None
-        self._h3_text = []
+    anchors: list[str] = []  # hrefs of currently open <a> tags
+    headings: list[list] = []  # [href or None, text pieces] of each outermost <h3>
+    h3_text: list[str] = []  # the open heading's text pieces
+    depth = 0
+    pos = 0
+    while m := _TOKEN.search(text, pos):
+        if depth:
+            h3_text.append(unescape(text[pos : m.start()]))
+        pos = m.end()
+        tag = m["start"]
+        if tag is None:  # an end tag, or markup that is no tag
+            tag = (m["end"] or m["loose_end"] or "").lower()
+        elif m["close"] is None:  # a start tag left open
+            continue
+        else:
+            tag = tag.lower()
+            if tag == "a":
+                href = ""  # the last one wins
+                for name, value in _ATTR.findall(text, m.start("attrs"), m.end("attrs")):
+                    if name.lower() == "href":
+                        href = unescape(value[1:-1] if value[:1] in ("'", '"') else value)
+                anchors.append(href)
+                if depth and headings[-1][0] is None and href:
+                    headings[-1][0] = href
+            elif tag == "h3":
+                depth += 1
+                if depth == 1:
+                    h3_text = []
+                    headings.append([(anchors[-1] if anchors else "") or None, h3_text])
+            elif tag in _RAW_END and m["close"] == ">":
+                raw_end = _RAW_END[tag].search(text, pos)
+                if raw_end is None:  # an unclosed script or style runs to the end
+                    pos = len(text)
+                    break
+                if depth:
+                    h3_text.append(text[pos : raw_end.start()])
+                pos = raw_end.end()
+            if m["close"] == ">":
+                continue
+        if tag == "a" and anchors:
+            anchors.pop()
+        elif tag == "h3" and depth:
+            depth -= 1
+    if depth:  # an unclosed heading in soupy markup ends with the page
+        h3_text.append(unescape(text[pos:]))
+    return [
+        (href, title)
+        for href, pieces in headings
+        if href and (title := " ".join("".join(pieces).split()))
+    ]
 
 
 def _unwrap_redirect(href: str) -> str:
@@ -213,11 +231,8 @@ def parse_serp_html(html: str | bytes) -> list[tuple[str, str]]:
     no result link and carries a block marker.
     """
     text = html.decode("utf-8", errors="replace") if isinstance(html, bytes) else html
-    extractor = _ResultLinkExtractor()
-    extractor.feed(text)
-    extractor.close()
     out = []
-    for href, title in extractor.links:
+    for href, title in _result_links(text):
         target = _unwrap_redirect(href)
         parts = urlsplit(target)
         if parts.scheme in ("http", "https") and parts.netloc:

@@ -625,6 +625,21 @@ def test_every_command_has_its_handler():
         assert callable(getattr(cli, f"_cmd_{name}")), name
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, synth_store, child_env):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["stats", "--store", str(synth_store)]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "stats", "--no-such-flag")[0] == 2
+    code, out, _ = run(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "serpchurn", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    # handlers are still looked up by name at call time
+    monkeypatch.setattr("serpchurn.cli._cmd_stats", lambda args: "patched\n")
+    assert run(capsys, *argv) == (0, "patched\n", "")
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "serpchurn", "--help"], capture_output=True, text=True

@@ -30,6 +30,8 @@ HTTP_CLIENT = ("urllib.request", "http.client", "ssl")
 NO_FIT = ("serpchurn.fitting", "serpchurn.oracle", "serpchurn.serp_io")
 NO_ANALYSIS = (*NO_FIT, "serpchurn.metrics", "serpchurn.render", "html.parser")
 NO_READS = ("serpchurn.metrics", "serpchurn.fitting", "serpchurn.render", "serpchurn.oracle")
+# a scrape finds result links with its own scan, not the standard library's tag parser
+NO_TAG_PARSER = ("html.parser", "_markupbase")
 
 # (argv, modules it must not load); {store} is a small synthetic collection,
 # {serp} the saved result pages; stdin carries a snapshot stream for ingest
@@ -42,7 +44,7 @@ COMMANDS = [
     (["transitions", "--store", "{store}"], NO_FIT),
     (["report", "--kind", "temporal-grid", "--store", "{store}"], NO_FIT),
     (["scrape", "--query", "hurricane harvey", "--fixture", "{serp}", "--delay", "0",
-      "--date", "2017-09-07", "--store", "-"], NO_READS),
+      "--date", "2017-09-07", "--store", "-"], (*NO_READS, *NO_TAG_PARSER)),
     (["timelines", "--store", "{store}"], ()),
     (["fit", "--store", "{store}"], ()),
     (["compare", "--store-a", "{store}", "--store-b", "{store}"], ()),

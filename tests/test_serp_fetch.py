@@ -170,7 +170,12 @@ def test_http_429_maps_to_rate_limited(server):
     assert str(exc.value) == "server returned 429; retry after 60 s"
 
 
-@pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}], ids=["missing", "unparseable"])
+@pytest.mark.parametrize(
+    "headers",
+    [{}, {"Retry-After": "soon"}]
+    + [{"Retry-After": v} for v in ("nan", "inf", "-5", "1e3", "Wed, 21 Oct 2026 07:28:00 GMT", "\u00b2")],
+    ids=["missing", "unparseable", "nan", "inf", "negative", "exponent", "http-date", "superscript-two"],
+)
 def test_http_429_default_backoff(server, headers):
     server.serve((429, b"", headers))
     with pytest.raises(RateLimited) as exc:

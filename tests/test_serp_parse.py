@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -139,3 +140,17 @@ def test_whitespace_collapsed_in_titles():
 def test_nested_markup_in_title():
     html = '<a href="https://a.example/x"><h3>Big <em>storm</em> news</h3></a>'
     assert parse_serp_html(html) == [("https://a.example/x", "Big storm news")]
+
+
+@pytest.mark.parametrize(
+    "shape", ['<a "', "<!--", "<script>", "<h3>x", "<", "<a x", "<h3 "], ids=repr
+)
+def test_extraction_is_linear_in_the_page(shape):
+    # broken markup repeated to 1 MB; html.parser is quadratic on some of these
+    # shapes: it took a minute on 80 KB of '<a "' (Python 3.11, 2-core VM)
+    first = '<h3><a href="https://a.example/x">First</a></h3>'
+    page = first + shape * (1_000_000 // len(shape))
+    t0 = time.perf_counter()
+    parsed = parse_serp_html(page)
+    assert time.perf_counter() - t0 < 2.0
+    assert parsed == [("https://a.example/x", "First")]

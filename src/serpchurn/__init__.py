@@ -1,9 +1,10 @@
 """Track news-story URIs across search result pages and measure churn.
 
-Every public name can be imported from the package root, but its module
-loads only when the name is first used (PEP 562), so a command that never
-fits or parses loads neither the fitter nor the result-page scanner. The error
-classes load the same way, so ``import serpchurn`` loads only this module.
+What commands and library callers use is importable from the package root,
+but a name's module loads only when the name is first used (PEP 562), so a
+command that never fits or parses loads neither the fitter nor the scanner.
+The error classes load the same way: ``import serpchurn`` loads only this
+module. Names only tests use, such as the oracle's, stay in their modules.
 """
 
 from importlib import import_module
@@ -19,8 +20,6 @@ _HOMES = {
     "FitConvergenceError": "errors",
     "FixtureNotFound": "errors",
     "InsufficientDataError": "errors",
-    "OracleScaleError": "errors",
-    "RateKind": "metrics",
     "RateLimited": "errors",
     "RefindabilityModel": "model",
     "ReportCell": "metrics",
@@ -39,7 +38,6 @@ _HOMES = {
     "UriParseError": "errors",
     "ValidationError": "errors",
     "Vertical": "model",
-    "avg_interval_rate": "metrics",
     "build_snapshot": "serp_io",
     "canonicalize": "model",
     "compute_rates": "metrics",
@@ -51,12 +49,8 @@ _HOMES = {
     "generate": "synth",
     "new_story_rate": "metrics",
     "open_store": "store",
-    "oracle_report": "oracle",
-    "oracle_transition_counts": "oracle",
     "overlap": "metrics",
     "parse_serp_html": "serp_io",
-    "prob_seen": "metrics",
-    "prob_seen_on_page": "metrics",
     "recall": "metrics",
     "refind_points": "fitting",
     "replacement_rate": "metrics",

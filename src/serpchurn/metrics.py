@@ -123,7 +123,7 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    mean = _interval_means(store, store._walk(), (days,)).get((days, page), {}).get(kind)
+    mean = _interval_means(store, store.build_timelines(), (days,)).get((days, page), {}).get(kind)
     if mean is None:
         on_page = "" if page is None else f" on page {page}"
         raise InsufficientDataError(f"no usable {days}-day anchor pairs{on_page}")
@@ -355,7 +355,7 @@ def compute_rates(
     store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
     """The report's rate cells; its probability cells stay empty."""
-    return ChurnReport(store.vertical, *_rate_cells(store, store._walk(), intervals), {}, {})
+    return ChurnReport(store.vertical, *_rate_cells(store, store.build_timelines(), intervals), {}, {})
 
 
 def refind_cells(
@@ -385,13 +385,13 @@ def refind_cells(
 
 def compute_refind(store: CollectionStore) -> ChurnReport:
     """The report's probability cells, pages 1-5; its rate cells stay empty."""
-    return ChurnReport(store.vertical, {}, {}, *refind_cells(store._walk()))
+    return ChurnReport(store.vertical, {}, {}, *refind_cells(store.build_timelines()))
 
 
 def compute_report(store: CollectionStore) -> ChurnReport:
     """Every rate at the daily, weekly and monthly lags and every refind
     probability, from one walk of the store."""
-    timelines = store._walk()
+    timelines = store.build_timelines()
     rates = _rate_cells(store, timelines, DEFAULT_INTERVALS)
     return ChurnReport(store.vertical, *rates, *refind_cells(timelines))
 

@@ -124,7 +124,8 @@ def fetch_serp_page(
         if e.code == 429:
             # HTTP delay-seconds only: ASCII digits, so no date, sign, exponent, nan or inf
             value = e.headers.get("Retry-After", "")
-            retry_after = float(value) if value.isascii() and value.isdigit() else 300.0
+            retry_after = float(value) if value.isascii() and value.isdigit() else math.inf
+            retry_after = retry_after if math.isfinite(retry_after) else 300.0
             raise RateLimited(f"server returned 429; retry after {retry_after:g} s", retry_after) from None
         raise TransportError(f"HTTP {e.code} for page {page_no}") from None
     except (OSError, http.client.HTTPException) as e:  # refused, DNS, timeout, TLS, truncated

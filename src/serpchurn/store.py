@@ -17,7 +17,6 @@ import os
 import tempfile
 from datetime import date
 from pathlib import Path
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -60,7 +59,7 @@ def _stored_days(root: Path) -> set[date]:
     """The days the snapshot files are named for; SerpParseError for another name."""
     try:
         names = os.listdir(root / SNAPSHOT_DIR)
-    except (FileNotFoundError, NotADirectoryError):
+    except FileNotFoundError:
         return set()
     days = set()
     for name in names:
@@ -155,7 +154,7 @@ class CollectionStore:
         for snapshot in snapshots:
             self._check(snapshot)
         if self.root is not None:
-            held = read_identity(self.root) if (self.root / MANIFEST_NAME).is_file() else None
+            held = read_identity(self.root) if (self.root / MANIFEST_NAME).exists() else None
             if held not in (None, (self.topic, self.vertical)):
                 raise StoreMismatchError(
                     f"{self.root} holds {held[0]!r} ({held[1].value}), "
@@ -186,11 +185,15 @@ class CollectionStore:
         total = sum(len(s.results) for s in self.snapshots.values())
         return total, len(self.stories()), len(self.manifest.calendar)
 
-    def _walk(self) -> list[StoryTimeline]:
-        """Each story's timeline, in first-seen order: one pass over every
-        stored link, which counts at its first placement that day. Stories
-        first seen on the same day share one unscraped set. The store's
-        snapshots were checked, so the timelines are not. Refuses an empty store."""
+    def build_timelines(self) -> tuple[StoryTimeline, ...]:
+        """Every story's timeline, ordered by (first_seen, canonical_uri).
+
+        One walk reads each stored link once; a day's new stories join in
+        URI order and share one unscraped set. A timeline runs from the
+        story's first day to the store's last, and days without a snapshot
+        are unscraped. A URI listed twice in one snapshot counts at its
+        first placement. Refuses an empty store.
+        """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
         days = self.manifest.calendar
@@ -201,25 +204,17 @@ class CollectionStore:
             if snap is None:
                 gaps.append(idx)
                 continue
-            for r in snap.results:
+            new: dict[str, tuple[int, dict[int, int]]] = {}  # the stories first seen today
+            for r in snap.results:  # a URI's later listing that day loses
                 story = stories.get(r.canonical_uri)
                 if story is None:
-                    stories[r.canonical_uri] = (idx, {0: r.page})
+                    new.setdefault(r.canonical_uri, (idx, {0: r.page}))
                 else:
-                    story[1].setdefault(idx - story[0], r.page)  # a later listing that day loses
+                    story[1].setdefault(idx - story[0], r.page)
+            stories.update(sorted(new.items()))
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
-        timeline = trusted(StoryTimeline)
-        return [timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()]
-
-    def build_timelines(self) -> tuple[StoryTimeline, ...]:
-        """Every story's timeline from the store's walk, ordered by
-        (first_seen, canonical_uri).
-
-        A story's timeline starts the day it first appears and runs to the
-        last date the store covers; days without a snapshot are unscraped.
-        A URI listed twice in one snapshot counts at its first placement.
-        """
-        return tuple(sorted(self._walk(), key=attrgetter("first_seen", "canonical_uri")))
+        make = trusted(StoryTimeline)  # the store's snapshots were checked
+        return tuple(make(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items())
 
 
 def open_store(root: Path) -> CollectionStore:

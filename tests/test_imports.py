@@ -105,6 +105,28 @@ def test_dir_lists_every_public_name():
     assert set(serpchurn.__all__) <= set(dir(serpchurn))
 
 
+# (module, name) that only tests and the benchmark use: importable from their
+# modules, not listed or re-exported by the package root
+TEST_ONLY = [
+    ("metrics", "RateKind"),
+    ("metrics", "avg_interval_rate"),
+    ("metrics", "prob_seen"),
+    ("metrics", "prob_seen_on_page"),
+    ("oracle", "oracle_report"),
+    ("oracle", "oracle_transition_counts"),
+    ("errors", "OracleScaleError"),
+]
+
+
+@pytest.mark.parametrize("module, name", TEST_ONLY, ids=[name for _, name in TEST_ONLY])
+def test_a_test_only_name_lives_in_its_module_alone(module, name):
+    assert name not in serpchurn.__all__
+    assert name not in dir(serpchurn)
+    assert callable(getattr(importlib.import_module(f"serpchurn.{module}"), name))
+    with pytest.raises(AttributeError):
+        getattr(serpchurn, name)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'serpchurn' has no attribute 'no_such_name'"):
         serpchurn.no_such_name

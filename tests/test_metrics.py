@@ -589,21 +589,20 @@ class TestStorePath:
 
     @settings(max_examples=250, deadline=None)
     @given(messy_days(span=15))
-    def test_the_walk_and_the_timelines_count_alike(self, raw):
-        """The report counts the walk's timelines as they come, ``prob`` and
-        ``transitions`` the sorted ones ``build_timelines`` returns: they are
-        the same timelines, and give the same cells."""
+    def test_every_count_reads_the_same_ordered_timelines(self, raw):
+        """The report, ``prob`` and ``transitions`` all count the timelines
+        of the one walk, which come in (first_seen, canonical_uri) order, and
+        give the same cells."""
         store = store_of(*raw)
         timelines = store.build_timelines()
+        keys = [(t.first_seen, t.canonical_uri) for t in timelines]
+        assert keys == sorted(keys)
         prob, prob_page = refind_cells(timelines)
         report = compute_report(store)
         assert (report.prob_seen, report.prob_seen_page) == (prob, prob_page)
         assert compute_refind(store) == replace(report, replacement={}, new_story={})
         assert compute_rates(store) == replace(report, prob_seen={}, prob_seen_page={})
-        walked = store._walk()
-        assert tuple(sorted(walked, key=lambda t: (t.first_seen, t.canonical_uri))) == timelines
-        rows, counts = _tally(walked)
-        assert rows == _tally(timelines)[0]
+        counts = _tally(timelines)[1]
         try:
             assert [list(row) for row in transition_matrix(timelines).counts] == counts
         except InsufficientDataError:

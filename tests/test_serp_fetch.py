@@ -184,6 +184,19 @@ def test_http_429_default_backoff(server, headers):
     assert str(exc.value) == "server returned 429; retry after 300 s"
 
 
+@pytest.mark.parametrize(
+    "digits, retry_after, shown",
+    [(308, float("9" * 308), "1e+308"), (309, 300.0, "300"), (400, 300.0, "300")],
+)
+def test_http_429_backoff_past_the_largest_float_is_the_default(server, digits, retry_after, shown):
+    # 308 nines still fit a float; past 1.8e308 float() reads inf, which is no delay
+    server.serve((429, b"", {"Retry-After": "9" * digits}))
+    with pytest.raises(RateLimited) as exc:
+        fetch_serp_page(live_plan(), 1, DAY, sleep=lambda _: None)
+    assert exc.value.retry_after == retry_after
+    assert str(exc.value) == f"server returned 429; retry after {shown} s"
+
+
 def test_block_page_in_200_response(server):
     server.serve((200, b'<form action="/sorry/index">pick the hydrants</form>', {}))
     with pytest.raises(RateLimited):

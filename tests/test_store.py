@@ -343,6 +343,32 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     assert _files(root) == before
 
 
+def test_a_directory_at_the_manifest_refuses_a_write_before_any_file(tmp_path, capsys):
+    root = tmp_path / "col"
+    assert main(["synth", "--days", "3", "--store", str(root)]) == 0
+    (root / "collection.json").unlink()
+    (root / "collection.json").mkdir()
+    before = _files(root)
+    capsys.readouterr()
+    assert main(["synth", "--days", "5", "--store", str(root)]) == 3
+    assert capsys.readouterr().err == f"error: store-missing: no collection at {root}\n"
+    assert _files(root) == before
+
+
+@pytest.mark.parametrize("command", ["stats", "metrics"])
+def test_a_file_at_the_snapshot_directory_is_an_io_error(tmp_path, capsys, command):
+    root = tmp_path / "col"
+    CollectionStore.from_snapshots("topic", Vertical.GENERAL, (), root=root)
+    (root / "snapshots").rmdir()
+    (root / "snapshots").write_text("not a directory\n", encoding="utf-8")
+    with pytest.raises(NotADirectoryError):
+        open_store(root)
+    assert main([command, "--store", str(root)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: io:") and "Not a directory" in err
+
+
 def test_open_store_skips_a_leftover_temporary_file(tmp_path):
     root = tmp_path / "col"
     store = CollectionStore.from_snapshots("topic", Vertical.GENERAL, [snap(1, [("a", 1)])], root=root)

@@ -145,17 +145,14 @@ def _cmd_scrape(args) -> Iterable[str] | None:
         if not (args.date_start and args.date_end):
             raise ValidationError("--date-start and --date-end go together")
         date_range = (_parse_date(args.date_start), _parse_date(args.date_end))
-    try:
-        plan = FetchPlan(
-            query=args.query,
-            vertical=Vertical.from_wire(args.vertical),
-            pages=args.pages,
-            date_range=date_range,
-            politeness_delay=args.delay,
-            fixture_dir=Path(args.fixture) if args.fixture else None,
-        )
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
+    plan = FetchPlan(
+        query=args.query,
+        vertical=Vertical.from_wire(args.vertical),
+        pages=args.pages,
+        date_range=date_range,
+        politeness_delay=args.delay,
+        fixture_dir=Path(args.fixture) if args.fixture else None,
+    )
     day = _parse_date(args.date) if args.date else date.today()
     snapshot = build_snapshot(plan, day)
     note = f"ingested {snapshot.date.isoformat()}: {len(snapshot.results)} links"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -63,7 +64,10 @@ def canonicalize(uri: str) -> str:
         target = s
     else:
         target = "//" + s
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError as e:  # an unclosed IPv6 bracket, or a netloc NFKC changes
+        raise UriParseError(uri, str(e)) from None
     try:
         port = parts.port
     except ValueError:
@@ -370,8 +374,9 @@ def _results_of(links) -> tuple[SerpResult, ...]:
 
 
 def results_from_links(links: Iterable[tuple[str, str, int]]) -> tuple[SerpResult, ...]:
-    """Build ranked results from (uri, title, page) triples in extraction order."""
-    return tuple(
-        SerpResult(uri=uri, canonical_uri=canonicalize(uri), title=title, page=page, rank=rank)
-        for rank, (uri, title, page) in enumerate(links, start=1)
-    )
+    """Rank (uri, title, page) triples in extraction order; a link ``canonicalize`` refuses takes no rank."""
+    results: list[SerpResult] = []
+    for uri, title, page in links:
+        with suppress(UriParseError):
+            results.append(SerpResult(uri, canonicalize(uri), title, page, rank=len(results) + 1))
+    return tuple(results)

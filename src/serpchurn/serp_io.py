@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from datetime import date
 from html import unescape
 from pathlib import Path
-from urllib.parse import parse_qs, urlencode, urlsplit
+from urllib.parse import unquote_plus, urlencode, urlsplit
 
-from .errors import FixtureNotFound, RateLimited, TransportError
+from .errors import FixtureNotFound, RateLimited, TransportError, ValidationError
 from .model import DEFAULT_DELAY, PAGES_MAX, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
 
 SEARCH_URL = "https://www.google.com/search"
@@ -46,15 +46,15 @@ class FetchPlan:
 
     def __post_init__(self):
         if not self.query.strip():
-            raise ValueError("query must be non-empty")
+            raise ValidationError("query must be non-empty")
         if not 1 <= self.pages <= PAGES_MAX:
-            raise ValueError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
+            raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
         if not math.isfinite(self.politeness_delay):
-            raise ValueError(f"politeness_delay must be finite, got {self.politeness_delay}")
+            raise ValidationError(f"politeness_delay must be finite, got {self.politeness_delay}")
         if self.politeness_delay < 0:
-            raise ValueError("politeness_delay must be >= 0")
+            raise ValidationError("politeness_delay must be >= 0")
         if self.date_range is not None and self.date_range[0] > self.date_range[1]:
-            raise ValueError("date_range start must not exceed its end")
+            raise ValidationError("date_range start must not exceed its end")
 
 
 def query_slug(query: str) -> str:
@@ -208,36 +208,35 @@ def _result_links(text: str) -> list[tuple[str, str]]:
     ]
 
 
-def _unwrap_redirect(href: str) -> str:
-    """Resolve '/url?q=...' style indirection to the target URI."""
-    parts = urlsplit(href)
-    host = (parts.hostname or "").lower()
-    via_redirector = parts.path == "/url" and (
-        not parts.netloc or host == "google.com" or host.endswith(".google.com")
-    )
-    if via_redirector:
-        qs = parse_qs(parts.query)
-        for key in ("q", "url"):
-            if qs.get(key):
-                return qs[key][0]
-    return href
+def _target(href: str) -> str | None:
+    """The absolute http(s) URI a result href points to, else None. Behind the '/url'
+    redirector, relative or on a google.com host, that is the first non-empty ``q``,
+    else ``url``, field, decoded as in a query string; an href ``urlsplit`` refuses is None."""
+    try:
+        parts = urlsplit(href)
+        host = (parts.hostname or "").lower()
+        if parts.path == "/url" and (not parts.netloc or host == "google.com" or host.endswith(".google.com")):
+            fields: dict[str, str] = {}
+            for name, _, value in (field.partition("=") for field in parts.query.split("&")):
+                if value:
+                    fields.setdefault(unquote_plus(name), value)
+            if wrapped := fields.get("q") or fields.get("url"):
+                href = unquote_plus(wrapped)
+                parts = urlsplit(href)
+    except ValueError:
+        return None
+    return href if parts.scheme in ("http", "https") and parts.netloc else None
 
 
 def parse_serp_html(html: str | bytes) -> list[tuple[str, str]]:
     """Extract result (uri, title) pairs from one page's markup.
 
-    Redirect hrefs are unwrapped; only absolute http(s) targets survive,
-    which drops internal navigation and anchor-less headings. Raises
-    RateLimited if the bytes are a block interstitial: a page that yields
-    no result link and carries a block marker.
+    Each href goes through ``_target``. Raises RateLimited if the bytes are
+    a block interstitial: a page that yields no result link and carries a
+    block marker.
     """
     text = html.decode("utf-8", errors="replace") if isinstance(html, bytes) else html
-    out = []
-    for href, title in _result_links(text):
-        target = _unwrap_redirect(href)
-        parts = urlsplit(target)
-        if parts.scheme in ("http", "https") and parts.netloc:
-            out.append((target, title))
+    out = [(target, title) for href, title in _result_links(text) if (target := _target(href))]
     if not out:
         lowered = text.lower()
         if any(marker in lowered for marker in _BLOCK_MARKERS):
@@ -256,15 +255,9 @@ def build_snapshot(
     Pages are fetched in order and the first block interstitial aborts
     the remainder. A canonical URI listed twice keeps its first placement.
     """
-    links: list[tuple[str, str, int]] = []
-    for page_no in range(1, plan.pages + 1):
-        raw = fetch_serp_page(plan, page_no, day, sleep=sleep)
-        for uri, title in parse_serp_html(raw):
-            links.append((uri, title, page_no))
-    snapshot = SerpSnapshot(
-        query=plan.query,
-        vertical=plan.vertical,
-        date=day,
-        results=results_from_links(links),
-    )
-    return dedup_snapshot(snapshot)
+    links = [
+        (uri, title, page_no)
+        for page_no in range(1, plan.pages + 1)
+        for uri, title in parse_serp_html(fetch_serp_page(plan, page_no, day, sleep=sleep))
+    ]
+    return dedup_snapshot(SerpSnapshot(plan.query, plan.vertical, day, results_from_links(links)))

@@ -61,7 +61,10 @@ def test_nonstandard_scheme():
     assert canonicalize("synth://story/7") == "story/7"
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "https://", "http:///path", "http://exa mple:99x/"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "   ", "https://", "http:///path", "http://exa mple:99x/", "http://[::1/x", "[::1", "http://＃.com/"],
+)
 def test_unparseable_raises(bad):
     with pytest.raises(UriParseError):
         canonicalize(bad)

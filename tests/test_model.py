@@ -176,6 +176,14 @@ class TestDedup:
         ]
 
 
+def test_a_link_canonicalize_refuses_takes_no_rank():
+    links = [("http://a.com/x", "A", 1), ("http://[::1/x", "bad", 1), ("http://@/x", "bad", 2), ("http://b.com/y", "B", 2)]
+    assert [(r.canonical_uri, r.page, r.rank) for r in results_from_links(links)] == [
+        ("a.com/x", 1, 1),
+        ("b.com/y", 2, 2),
+    ]
+
+
 class TestInterchange:
     def test_round_trip_is_byte_identical(self):
         links = [

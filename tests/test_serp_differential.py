@@ -8,10 +8,17 @@ result-page fragments. The grammar keeps to markup that html.parser reads
 the same way on every supported Python: comments are closed, each script or
 style element is closed, and there is no ``--!>``, ``<![CDATA[``, unclosed
 tag, tag inside a ``title`` or ``textarea``, or whitespace after ``</``.
+
+``_unwrap_redirect`` is the redirect unwrapping that ``serp_io._target``
+replaced, kept verbatim, and ``reference_target`` wraps it in the http(s)
+filter that ``parse_serp_html`` applied after it. Both sides split hrefs
+with the running Python's ``urlsplit``, so they must agree on every
+supported version.
 """
 
 from html.parser import HTMLParser
 from unittest import mock
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,3 +213,75 @@ def test_the_scan_agrees_with_html_parser_on_every_saved_page(fixture_root):
 )
 def test_the_scan_agrees_with_html_parser_on_hand_written_pages(page):
     assert_agrees(page)
+
+
+# -- the redirect unwrapping and http(s) filter ----------------------------
+
+
+def _unwrap_redirect(href: str) -> str:
+    """Resolve '/url?q=...' style indirection to the target URI."""
+    parts = urlsplit(href)
+    host = (parts.hostname or "").lower()
+    via_redirector = parts.path == "/url" and (
+        not parts.netloc or host == "google.com" or host.endswith(".google.com")
+    )
+    if via_redirector:
+        qs = parse_qs(parts.query)
+        for key in ("q", "url"):
+            if qs.get(key):
+                return qs[key][0]
+    return href
+
+
+def reference_target(href: str) -> str | None:
+    """The target the old filter kept for ``href``, else None; a ValueError is no link."""
+    try:
+        target = _unwrap_redirect(href)
+        parts = urlsplit(target)
+    except ValueError:
+        return None
+    return target if parts.scheme in ("http", "https") and parts.netloc else None
+
+
+REDIRECTORS = [
+    "/url?", "https://www.google.com/url?", "//news.google.com/url?", "https://evilgoogle.com/url?",
+    "/URL?", "/url/?",
+]
+FIELD_NAMES = ["q", "url", "Q", "%71", "u%72l", "q+", "sa", "ved", "usg", ""]
+FIELD_VALUES = [
+    "", "https://a.example/x", "https%3A%2F%2Fb.example%2Fy%3Fz%3D1", "http://c.example/a+b%20c",
+    "http%3a//d.example/%E2%82%AC", "ftp://e.example/", "//f.example/", "https://g.example:99999/",
+    "http://@/x", "http://＃.com/", "http://[::1/x", "%zz", "%", "%ff", "U", "0ahUKEwi",
+]
+url_text = st.text(alphabet="qurlQ=&%+:/.[]@#?az09 ＃é", max_size=24)
+field = st.one_of(
+    st.tuples(st.sampled_from(FIELD_NAMES), st.one_of(st.sampled_from(FIELD_VALUES), url_text)).map("=".join),
+    st.sampled_from(FIELD_NAMES),  # a field with no '='
+)
+redirect_hrefs = st.builds(
+    lambda prefix, fields, tail: prefix + "&".join(fields) + tail,
+    st.sampled_from(REDIRECTORS),
+    st.lists(field, max_size=6),
+    st.sampled_from(["", "#frag", "&", "&&"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(redirect_hrefs, url_text, st.text(), st.sampled_from(HREFS)))
+def test_target_agrees_with_the_old_unwrap_and_filter(href):
+    assert serp_io._target(href) == reference_target(href)
+
+
+@pytest.mark.parametrize(
+    "href, target",
+    [
+        ("/url?sa=U&url=https://a.example/u&q=https://b.example/q&q=https://c.example/", "https://b.example/q"),
+        ("/url?q=&url=https://a.example/u&url=https://b.example/", "https://a.example/u"),
+        ("/url?%71=https%3A%2F%2Fa.example%2F%7Ex+y", "https://a.example/~x y"),
+        ("/url?q+=https://a.example/&u%72l=https://b.example/", "https://b.example/"),
+        ("/url?q=http://[::1/x&sa=U", None),
+        ("/url?q=%zz", None),
+    ],
+)
+def test_target_reads_the_first_non_empty_q_else_url(href, target):
+    assert serp_io._target(href) == target == reference_target(href)

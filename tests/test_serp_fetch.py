@@ -1,3 +1,4 @@
+import json
 import socket
 import threading
 from datetime import date
@@ -8,7 +9,7 @@ import pytest
 
 from serpchurn import serp_io
 from serpchurn.cli import main
-from serpchurn.errors import FixtureNotFound, RateLimited, TransportError
+from serpchurn.errors import FixtureNotFound, RateLimited, TransportError, ValidationError
 from serpchurn.model import Vertical, snapshot_to_json
 from serpchurn.serp_io import (
     FetchPlan,
@@ -215,16 +216,16 @@ def test_http_500_maps_to_transport_error(server):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FetchPlan(query="  ")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FetchPlan(query="q", pages=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FetchPlan(query="q", pages=6)
     for delay in (-1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             FetchPlan(query="q", politeness_delay=delay)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FetchPlan(query="q", date_range=(date(2017, 9, 30), date(2017, 9, 1)))
 
 
@@ -310,3 +311,40 @@ def test_a_refused_live_scrape_is_a_transport_error(capsys, tmp_path, refused):
     assert out == ""
     assert err.startswith("error: transport: fetch failed for page 1: ") and err.count("\n") == 1, err
     assert not list(tmp_path.rglob("*.json"))
+
+
+# -- a malformed result href is skipped, not the day ------------------------
+
+MALFORMED_HREFS = [
+    "http://[::1/x",
+    "/url?q=http://[::1/x&amp;sa=U",
+    "http://a.com:abc/x",
+    "http://@/x",
+    "http://a.com:99999/x",
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[href] for href in MALFORMED_HREFS] + [MALFORMED_HREFS],
+    ids=["ipv6", "ipv6-redirect", "port-text", "no-host", "port-range", "all-five"],
+)
+def test_a_scrape_skips_a_malformed_link_and_stores_the_day(capsys, tmp_path, bad):
+    links = ["https://first.example/a", *bad, "https://second.example/b"]
+    page = tmp_path / "serp" / "q" / "general" / "2017-09-07" / "p1.html"
+    page.parent.mkdir(parents=True)
+    page.write_text(
+        "".join(f'<a href="{href}"><h3>Story {n}</h3></a>' for n, href in enumerate(links)),
+        encoding="utf-8",
+    )
+    root = tmp_path / "col"
+    code = main([
+        "scrape", "--query", "q", "--fixture", str(tmp_path / "serp"), "--delay", "0",
+        "--date", "2017-09-07", "--pages", "1", "--store", str(root),
+    ])
+    assert (code, *capsys.readouterr()) == (0, "", "ingested 2017-09-07: 2 links\n")
+    stored = json.loads((root / "snapshots" / "2017-09-07.json").read_bytes())
+    assert [(link["canonical_uri"], link["title"], link["rank"]) for link in stored["links"]] == [
+        ("first.example/a", "Story 0", 1),
+        ("second.example/b", f"Story {len(links) - 1}", 2),
+    ]

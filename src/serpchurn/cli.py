@@ -319,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(output=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_store(p, flag="--store"):
+    def add_store(p):
         p.add_argument(
-            flag,
+            "--store",
             default=None,
             help=f"collection directory, or - for stdio streaming "
             f"(default: ${STORE_ENV})",

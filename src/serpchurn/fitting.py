@@ -155,7 +155,7 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
 def refind_points(timelines: Sequence[StoryTimeline], max_k: int | None = None) -> list[tuple[int, float]]:
     """(k, observed probability) pairs for k = 0..max_k (default: every
     offset), skipping days where no timeline was eligible."""
-    prob, _ = refind_cells(timelines, ())
+    prob, _ = refind_cells(timelines)
     return [(k, cell.value) for k, cell in prob.items() if max_k is None or k <= max_k]
 
 

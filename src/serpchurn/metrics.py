@@ -67,8 +67,8 @@ class RateKind(Enum):
 
 def _interval_means(
     store: CollectionStore, timelines: Iterable[StoryTimeline], lags: Iterable[int]
-) -> dict[tuple[int, int | None], dict[RateKind, tuple[Fraction, int]]]:
-    """avg_interval_rate of each kind with a usable pair, by (lag, page), page
+) -> dict[RateKind, dict[tuple[int, int | None], tuple[Fraction, int]]]:
+    """avg_interval_rate by kind, then by (lag, page) with a usable pair, page
     None for all pages. One pass over the timelines counts, by calendar day d,
     the stories listed on d and again ``lag`` days later, on any page (row 0)
     or on the same page (row p), and at lag 0 those listed on d. A kind's
@@ -92,7 +92,7 @@ def _interval_means(
                     if again == page:
                         rows[page][at + k] += 1
     listed, scraped = kept.pop(0), [day in store.snapshots for day in calendar]
-    means = {}
+    means: dict[RateKind, dict] = {kind: {} for kind in RateKind}
     for (lag, rows), page in product(kept.items(), range(N_STATES)):
         by_size: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
         n = [0, 0]
@@ -102,11 +102,10 @@ def _interval_means(
                     if size:
                         by_size[i][size] += size - common
                         n[i] += 1
-        means[lag, page or None] = {
-            kind: (sum(Fraction(k, size) for size, k in sizes.items()) / pairs, pairs)
-            for kind, sizes, pairs in zip(RateKind, by_size, n)
-            if pairs
-        }
+        for kind, sizes, pairs in zip(RateKind, by_size, n):
+            if pairs:
+                mean = sum(Fraction(k, size) for size, k in sizes.items()) / pairs
+                means[kind][lag, page or None] = mean, pairs
     return means
 
 
@@ -123,7 +122,7 @@ def avg_interval_rate(
     none on the requested page) are skipped, not counted as zero.
     Returns the exact mean and the number of pairs averaged.
     """
-    mean = _interval_means(store, store.build_timelines(), (days,)).get((days, page), {}).get(kind)
+    mean = _interval_means(store, store.build_timelines(), (days,))[kind].get((days, page))
     if mean is None:
         on_page = "" if page is None else f" on page {page}"
         raise InsufficientDataError(f"no usable {days}-day anchor pairs{on_page}")
@@ -186,16 +185,6 @@ def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
     return rows[k]
 
 
-def _seen(row: list[int]) -> Fraction:
-    n = sum(row)
-    return Fraction(n - row[0], n)
-
-
-def _check_page(m: int) -> None:
-    if not 1 <= m <= PAGES_MAX:
-        raise ValueError(f"page must be in [1,{PAGES_MAX}], got {m}")
-
-
 def prob_seen(timelines: Sequence[StoryTimeline], k: int) -> Fraction:
     """P(a story is back in pages 1-5 exactly k days after first seen).
 
@@ -203,7 +192,9 @@ def prob_seen(timelines: Sequence[StoryTimeline], k: int) -> Fraction:
     day k and day k was actually scraped. Each call counts every offset;
     refind_cells reads them all from one count.
     """
-    return _seen(_row_at(timelines, k))
+    row = _row_at(timelines, k)
+    n = sum(row)
+    return Fraction(n - row[0], n)
 
 
 def prob_seen_on_page(timelines: Sequence[StoryTimeline], k: int, m: int) -> Fraction:
@@ -212,7 +203,8 @@ def prob_seen_on_page(timelines: Sequence[StoryTimeline], k: int, m: int) -> Fra
     Shares prob_seen's denominator, so summing over m = 1..5 gives
     exactly prob_seen(timelines, k).
     """
-    _check_page(m)
+    if not 1 <= m <= PAGES_MAX:
+        raise ValueError(f"page must be in [1,{PAGES_MAX}], got {m}")
     row = _row_at(timelines, k)
     return Fraction(row[m], sum(row))
 
@@ -329,12 +321,9 @@ class ChurnReport:
 def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, ReportCell]]:
     """Each rate cell as (metric, days, page, cell): replacement first, then
     new-story, each by interval and then page, the all-pages figure first."""
-    for metric, cells in (
-        ("replacement_rate", report.replacement),
-        ("new_story_rate", report.new_story),
-    ):
+    for kind, cells in zip(RateKind, (report.replacement, report.new_story)):
         for days, page in sorted(cells, key=lambda key: (key[0], key[1] or 0)):
-            yield metric, days, page, cells[days, page]
+            yield kind.value, days, page, cells[days, page]
 
 
 DEFAULT_INTERVALS = (1, 7, 30)
@@ -344,11 +333,10 @@ def _rate_cells(
     store: CollectionStore, timelines: Iterable[StoryTimeline], intervals: Iterable[int]
 ) -> tuple[dict[tuple[int, int | None], ReportCell], dict[tuple[int, int | None], ReportCell]]:
     """The replacement and new-story cells with a usable pair, by (lag, page)."""
-    cells: dict[RateKind, dict] = {kind: {} for kind in RateKind}  # by (days, page)
-    for key, means in _interval_means(store, timelines, intervals).items():
-        for kind, (mean, n) in means.items():
-            cells[kind][key] = ReportCell(float(mean), n)
-    return cells[RateKind.REPLACEMENT], cells[RateKind.NEW_STORY]
+    means = _interval_means(store, timelines, intervals)
+    return tuple(
+        {key: ReportCell(float(mean), n) for key, (mean, n) in means[kind].items()} for kind in RateKind
+    )
 
 
 def compute_rates(
@@ -360,16 +348,12 @@ def compute_rates(
 
 def refind_cells(
     timelines: Iterable[StoryTimeline],
-    pages: Iterable[int] = range(1, PAGES_MAX + 1),
 ) -> tuple[dict[int, ReportCell], dict[tuple[int, int], ReportCell]]:
-    """P(seen) by offset k and its split over ``pages``, in k order.
+    """P(seen) by offset k and its split over pages 1-5, in k order.
 
     Each cell's n is the number of stories eligible at k; offsets where
     none is eligible are left out.
     """
-    page_list = list(pages)
-    for m in page_list:
-        _check_page(m)
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
     for k, row in enumerate(_tally(timelines)[0]):
@@ -378,7 +362,7 @@ def refind_cells(
             continue
         # int / int is correctly rounded: float(Fraction(a, n)) to the bit, without the Fraction
         prob[k] = ReportCell((n - row[0]) / n, n)
-        for m in page_list:
+        for m in range(1, PAGES_MAX + 1):
             prob_page[(k, m)] = ReportCell(row[m] / n, n)
     return prob, prob_page
 

@@ -24,10 +24,6 @@ PAGE_COLORS = {
 ABSENT_COLOR = "#ffffff"  # state 0: scraped but not in the pages
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 # -- SVG ----------------------------------------------------------------
 
 
@@ -109,7 +105,7 @@ def render_page_rate_bars(rates: Sequence[tuple[int, float]]) -> str:
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{y - 4:.1f}" font-size="10" '
-            f'text-anchor="middle" fill="#333333">{_fmt(value)}</text>'
+            f'text-anchor="middle" fill="#333333">{value:.2f}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date
 from html import unescape
 from pathlib import Path
-from urllib.parse import unquote_plus, urlencode, urlsplit
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import FixtureNotFound, RateLimited, TransportError, ValidationError
 from .model import DEFAULT_DELAY, PAGES_MAX, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
@@ -216,12 +216,9 @@ def _target(href: str) -> str | None:
         parts = urlsplit(href)
         host = (parts.hostname or "").lower()
         if parts.path == "/url" and (not parts.netloc or host == "google.com" or host.endswith(".google.com")):
-            fields: dict[str, str] = {}
-            for name, _, value in (field.partition("=") for field in parts.query.split("&")):
-                if value:
-                    fields.setdefault(unquote_plus(name), value)
+            fields = parse_qs(parts.query)  # blank values are dropped
             if wrapped := fields.get("q") or fields.get("url"):
-                href = unquote_plus(wrapped)
+                href = wrapped[0]
                 parts = urlsplit(href)
     except ValueError:
         return None

@@ -211,3 +211,15 @@ def test_recovery_property(a, b, c):
     for k in (0, 1, 5, 15):
         want = a + b * math.exp(-c * k)
         assert abs(eval_model(m, k) - want) < 1e-4
+
+
+# offsets that stress the decay column: integers, tiny floats where every
+# e^(-c*k) is about 1, and far floats where every one underflows to zero
+OFFSETS = st.one_of(st.integers(0, 800), st.floats(1e-300, 1.0), st.floats(140.0, 800.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(OFFSETS, st.floats(0.0, 1.0), min_size=4, max_size=25))
+def test_valid_points_always_fit_with_a_finite_error(points):
+    # neither FitConvergenceError guard is reached by points fit_exponential accepts
+    assert math.isfinite(fit_exponential(list(points.items())).sse)

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .model import (
     DEFAULT_DELAY,
+    INTERVAL_NAMES,
     PAGES_MAX,
     RefindabilityModel,
     SerpSnapshot,
@@ -90,16 +91,13 @@ def _parse_date(text: str) -> date:
         raise ValidationError(str(e)) from None
 
 
-_INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}
-
-
 def _interval_days(text: str) -> int:
     """The lag in days that an interval name (daily, weekly, monthly) or
     count (7, 7d) stands for. A count is ASCII digits only, as int() would
     also take ``+7``, ``1_0`` and other scripts' digits."""
     key = text.strip().lower()
-    if key in _INTERVAL_NAMES:
-        return _INTERVAL_NAMES[key]
+    if key in INTERVAL_NAMES:
+        return INTERVAL_NAMES[key]
     if not re.fullmatch(r"-?[0-9]+d?", key):
         raise ValidationError(f"unknown interval {text!r}")
     return int(key.removesuffix("d"))
@@ -147,7 +145,7 @@ def _cmd_scrape(args) -> Iterable[str] | None:
         date_range = (_parse_date(args.date_start), _parse_date(args.date_end))
     plan = FetchPlan(
         query=args.query,
-        vertical=Vertical.from_wire(args.vertical),
+        vertical=Vertical(args.vertical),
         pages=args.pages,
         date_range=date_range,
         politeness_delay=args.delay,
@@ -234,7 +232,7 @@ def _cmd_fit(args) -> None:
         raise ValidationError(f"--max-k must be >= 0, got {args.max_k}")
     store = _load_store(args)
     m = store.manifest
-    if args.vertical and Vertical.from_wire(args.vertical) is not m.vertical:
+    if args.vertical and Vertical(args.vertical) is not m.vertical:
         raise StoreMismatchError(
             f"store holds the {m.vertical.value} vertical, not {args.vertical}"
         )
@@ -299,7 +297,7 @@ def _cmd_synth(args) -> Iterable[str] | None:
         transition_kernel=_read_kernel(args.kernel) if args.kernel else None,
         seed=args.seed,
         topic=args.topic,
-        vertical=Vertical.from_wire(args.vertical),
+        vertical=Vertical(args.vertical),
         start=_parse_date(args.start),
     )
     store_arg = _store_arg(args.store)
@@ -318,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(output=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    verticals = [v.value for v in Vertical]
 
     def add_store(p):
         p.add_argument(
@@ -332,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scrape", help="fetch one day of result pages")
     p.add_argument("--query", required=True)
-    p.add_argument("--vertical", choices=["general", "news"], default="general")
-    p.add_argument("--pages", type=int, default=5)
+    p.add_argument("--vertical", choices=verticals, default=Vertical.GENERAL.value)
+    p.add_argument("--pages", type=int, default=PAGES_MAX)
     p.add_argument("--fixture", default=None, help="replay saved pages from this dir")
     p.add_argument("--delay", type=float, default=DEFAULT_DELAY)
     p.add_argument("--date", default=None, help="snapshot date (default today)")
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("fit", help="fit the refind decay model")
-    p.add_argument("--vertical", choices=["general", "news"], default=None)
+    p.add_argument("--vertical", choices=verticals, default=None)
     p.add_argument("--max-k", type=int, default=None, help="last day offset fitted (default: the span's)")
     add_store(p)
     add_output(p)
@@ -388,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic collection")
     p.add_argument("--days", type=int, required=True)
-    p.add_argument("--pages", type=int, default=5)
+    p.add_argument("--pages", type=int, default=PAGES_MAX)
     p.add_argument("--per-page", type=int, default=10)
     p.add_argument("--rate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", default=None, help="JSON file with a 6x6 row-stochastic matrix")
     p.add_argument("--topic", default="synthetic")
-    p.add_argument("--vertical", choices=["general", "news"], default="general")
+    p.add_argument("--vertical", choices=verticals, default=Vertical.GENERAL.value)
     p.add_argument("--start", default="2024-01-01")
     add_store(p)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
-from .model import N_STATES, PAGES_MAX, StoryTimeline, Vertical
+from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, StoryTimeline, Vertical
 from .store import CollectionStore
 
 # -- pairwise set rates ------------------------------------------------
@@ -326,7 +326,7 @@ def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, Repor
             yield kind.value, days, page, cells[days, page]
 
 
-DEFAULT_INTERVALS = (1, 7, 30)
+DEFAULT_INTERVALS = tuple(INTERVAL_NAMES.values())
 
 
 def _rate_cells(

@@ -27,6 +27,7 @@ PAGES_MAX = 5
 DEFAULT_DELAY = 3.0  # seconds to wait before each live page request
 N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
 _PAGES = frozenset(range(1, PAGES_MAX + 1))
+INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}  # the paper's lags in days, by name
 
 # Ports that never change resource identity once the scheme is gone.
 _DEFAULT_PORTS = (80, 443)
@@ -39,11 +40,10 @@ class Vertical(Enum):
     NEWS = "news"
 
     @classmethod
-    def from_wire(cls, value: str) -> "Vertical":
-        for v in cls:
-            if v.value == value:
-                return v
-        raise SerpParseError(f"unknown vertical {value!r} (expected 'general' or 'news')")
+    def _missing_(cls, value):
+        """Refuse any other name as unparseable input, not as a bare ValueError."""
+        expected = " or ".join(repr(v.value) for v in cls)
+        raise SerpParseError(f"unknown vertical {value!r} (expected {expected})")
 
 
 def canonicalize(uri: str) -> str:
@@ -219,20 +219,15 @@ def trusted(cls):
 
 @dataclass(frozen=True)
 class CollectionManifest:
-    """A collection's identity plus which dates it holds snapshots for."""
+    """A collection's identity plus the sorted dates it holds; all else derives from them."""
 
     topic: str
     vertical: Vertical
-    start_date: date | None = None
     dates: tuple[date, ...] = ()
-    gaps: frozenset[date] = field(default_factory=frozenset)
 
-    @classmethod
-    def of_days(cls, topic: str, vertical: Vertical, days: Iterable[date]) -> CollectionManifest:
-        """The manifest of a collection holding a snapshot for each of ``days``."""
-        dates = tuple(sorted(days))
-        bare = cls(topic, vertical, dates[0] if dates else None, dates)
-        return replace(bare, gaps=frozenset(bare.calendar).difference(dates))
+    @property
+    def start_date(self) -> date | None:
+        return self.dates[0] if self.dates else None
 
     @property
     def end_date(self) -> date | None:
@@ -243,6 +238,11 @@ class CollectionManifest:
         """Every day from the first snapshot to the last, gap days included."""
         span = (self.dates[-1] - self.dates[0]).days + 1 if self.dates else 0
         return tuple(self.dates[0] + timedelta(days=i) for i in range(span))
+
+    @property
+    def gaps(self) -> frozenset[date]:
+        """The calendar days with no snapshot."""
+        return frozenset(self.calendar).difference(self.dates)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
         results = _results_of(doc["links"])
         return SerpSnapshot(
             query=doc["query"],
-            vertical=Vertical.from_wire(doc["vertical"]),
+            vertical=Vertical(doc["vertical"]),
             date=parse_date(doc["date"]),
             results=results,
         )

@@ -39,7 +39,7 @@ class FetchPlan:
 
     query: str
     vertical: Vertical = Vertical.GENERAL
-    pages: int = 5
+    pages: int = PAGES_MAX
     date_range: tuple[date, date] | None = None
     politeness_delay: float = DEFAULT_DELAY
     fixture_dir: Path | None = None  # replay saved pages from here instead of fetching

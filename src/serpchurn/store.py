@@ -74,7 +74,7 @@ def _stored_days(root: Path) -> set[date]:
 
 def _write_manifest(root: Path, topic: str, vertical: Vertical, days: set[date]) -> None:
     """Write ``collection.json`` for the days the snapshot files are named for."""
-    m = CollectionManifest.of_days(topic, vertical, days)
+    m = CollectionManifest(topic, vertical, tuple(sorted(days)))
     doc = {
         "topic": m.topic,
         "vertical": m.vertical.value,
@@ -92,7 +92,7 @@ def read_identity(root: Path) -> tuple[str, Vertical]:
         raise StoreMissingError(f"no collection at {root}")
     try:
         doc = read_json(manifest_path.read_bytes())
-        topic, vertical = doc["topic"], Vertical.from_wire(doc["vertical"])
+        topic, vertical = doc["topic"], Vertical(doc["vertical"])
         if not isinstance(topic, str):
             raise TypeError(f"topic must be a string, got {topic!r}")
         return topic, vertical
@@ -112,7 +112,7 @@ class CollectionStore:
     @property
     def manifest(self) -> CollectionManifest:
         """Topic, vertical and the calendar of the snapshots held."""
-        return CollectionManifest.of_days(self.topic, self.vertical, self.snapshots)
+        return CollectionManifest(self.topic, self.vertical, tuple(sorted(self.snapshots)))
 
     # -- construction -------------------------------------------------
 

@@ -54,7 +54,7 @@ class SynthParams:
     """Shape and dynamics of one generated collection."""
 
     days: int
-    pages: int = 5
+    pages: int = PAGES_MAX
     per_page: int = 10
     replacement_rate: float = 0.0
     transition_kernel: Kernel | None = None

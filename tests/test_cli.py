@@ -625,6 +625,13 @@ def test_every_command_has_its_handler():
         assert callable(getattr(cli, f"_cmd_{name}")), name
 
 
+@pytest.mark.parametrize("command", ["scrape", "synth", "fit"])
+def test_vertical_choices_are_the_enum_members(command):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (vertical,) = [a for a in sub.choices[command]._actions if "--vertical" in a.option_strings]
+    assert vertical.choices == [v.value for v in Vertical]
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, synth_store, child_env):
     assert cli.build_parser() is cli.build_parser()
     argv = ["stats", "--store", str(synth_store)]

@@ -8,6 +8,7 @@ counts, and checks module names, not timings.
 
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,3 +140,10 @@ def test_a_star_import_binds_each_name_to_its_home_modules_object():
     for name in serpchurn.__all__:
         value = namespace[name]
         assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_the_version_is_stated_alike_in_both_places():
+    # a regular expression, since tomllib is missing on Python 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert version == serpchurn.__version__

@@ -6,6 +6,7 @@ import pytest
 
 from serpchurn.errors import SerpParseError
 from serpchurn.model import (
+    CollectionManifest,
     RefindabilityModel,
     SerpResult,
     SerpSnapshot,
@@ -121,10 +122,44 @@ class TestValidation:
             RefindabilityModel(a=0.1, b=0.5, c=1.0, sse=-0.1)
 
     def test_vertical_wire_names(self):
-        assert Vertical.from_wire("general") is Vertical.GENERAL
-        assert Vertical.from_wire("news") is Vertical.NEWS
+        assert Vertical("general") is Vertical.GENERAL
+        assert Vertical("news") is Vertical.NEWS
         with pytest.raises(SerpParseError):
-            Vertical.from_wire("images")
+            Vertical("images")
+
+    @pytest.mark.parametrize("value", ["images", "", None, ["general"], {}])
+    def test_an_unknown_vertical_is_a_parse_error(self, value):
+        # the enum's own lookup raises it, so no caller can leak a bare ValueError
+        message = f"unknown vertical {value!r} (expected 'general' or 'news')"
+        with pytest.raises(SerpParseError) as info:
+            Vertical(value)
+        assert str(info.value) == message
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "days, start, end, calendar, gaps",
+        [
+            ((), None, None, (), ()),
+            ((1, 2, 3), 1, 3, (1, 2, 3), ()),
+            ((1, 3, 6), 1, 6, (1, 2, 3, 4, 5, 6), (2, 4, 5)),
+        ],
+        ids=["empty", "gapless", "gapped"],
+    )
+    def test_the_calendar_derives_from_the_dates(self, days, start, end, calendar, gaps):
+        def day(n):
+            return date(2024, 1, n)
+
+        m = CollectionManifest("t", Vertical.NEWS, tuple(map(day, days)))
+        assert (m.start_date, m.end_date) == (start and day(start), end and day(end))
+        assert m.calendar == tuple(map(day, calendar))
+        assert m.gaps == frozenset(map(day, gaps))
+
+    def test_manifests_with_equal_dates_are_equal(self):
+        dates = (date(2024, 1, 1), date(2024, 1, 3))
+        a, b = (CollectionManifest("t", Vertical.NEWS, dates) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        assert a != CollectionManifest("t", Vertical.NEWS, dates[:1])
 
 
 class TestDedup:

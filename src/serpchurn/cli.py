@@ -98,9 +98,18 @@ def _interval_days(text: str) -> int:
     key = text.strip().lower()
     if key in INTERVAL_NAMES:
         return INTERVAL_NAMES[key]
-    if not re.fullmatch(r"-?[0-9]+d?", key):
+    count = re.fullmatch(r"(-?)0*([0-9]+)d?", key)
+    if count is None:
         raise ValidationError(f"unknown interval {text!r}")
-    return int(key.removesuffix("d"))
+    sign, digits = count.groups()
+    try:
+        return int(sign + digits)
+    except ValueError:  # past int()'s digit limit: under one day, or as long as the longest calendar
+        if sign:
+            raise ValidationError(
+                f"interval must be >= 1 day, got a negative count of {len(digits)} digits"
+            ) from None
+        return (date.max - date.min).days + 1
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("metrics", help="replacement and new-story rates")
-    p.add_argument("--intervals", default="daily,weekly,monthly")
+    p.add_argument("--intervals", default=",".join(INTERVAL_NAMES))
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_store(p)
     add_output(p)

@@ -163,12 +163,12 @@ class StoryTimeline:
             raise ValueError("a timeline needs at least the first-seen observation")
         first = self.pages.get(0)
         if type(first) is not int or not 1 <= first <= PAGES_MAX:
-            raise ValueError(f"day-0 observation must be a page in [1,5], got {first!r}")
+            raise ValueError(f"day-0 observation must be a page in [1,{PAGES_MAX}], got {first!r}")
         pages = self.pages.values()
         # 2.0 and True equal pages 2 and 1 but are no page, so the types count too
         if not (_PAGES.issuperset(pages) and {int}.issuperset(map(type, pages))):
             bad = next(v for v in pages if type(v) is not int or v not in _PAGES)
-            raise ValueError(f"a page must be in [1,5], got {bad!r}")
+            raise ValueError(f"a page must be in [1,{PAGES_MAX}], got {bad!r}")
         offsets = self.unscraped.union(self.pages)
         if min(offsets) < 0 or max(offsets) >= self.length:
             raise ValueError(f"offsets must lie in [0, {self.length})")

@@ -1,10 +1,15 @@
 """Brute-force reference computation for desk-scale collections.
 
 Everything here is recomputed straight from raw snapshots with plain
-set scans: no timelines, no incremental state, no code shared with the
-metrics module beyond the report containers. That makes it slow and
-simple, which is the point: the fast pipeline is correct exactly when
-it agrees with this one. A scale guard keeps it honest about its cost.
+set scans: no timelines, no incremental state. From the metrics module it
+takes the report containers, the default lags and the paper's two pairwise
+definitions, ``replacement_rate`` and ``new_story_rate``, which read two
+story sets and nothing else (C1 pins them on worked examples). The fast
+path calls neither definition: it counts story timelines in one pass. So
+agreement still checks its counting against the definitions themselves.
+That makes this slow and simple, which is the point: the fast pipeline is
+correct exactly when it agrees with this one. A scale guard keeps it
+honest about its cost.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InsufficientDataError, OracleScaleError
-from .metrics import DEFAULT_INTERVALS, ChurnReport, ReportCell
+from .metrics import DEFAULT_INTERVALS, ChurnReport, ReportCell, new_story_rate, replacement_rate
 from .model import N_STATES, PAGES_MAX
 from .store import CollectionStore
 
@@ -22,114 +27,79 @@ MAX_STORIES = 200
 MAX_SPAN_DAYS = 60
 
 
-def _guard(store: CollectionStore) -> None:
-    """Refuse an empty store, and one beyond desk scale."""
+def _placements(store: CollectionStore) -> dict[date, dict[str, int]]:
+    """Each scraped day, in date order, to its stories, each at the page of
+    its first placement that day in rank order. Refuses an empty store, and
+    one beyond desk scale."""
     if not store.snapshots:
         raise InsufficientDataError("store holds no snapshots")
-    uris = set()
-    for snap in store.snapshots.values():
-        for r in snap.results:
-            uris.add(r.canonical_uri)
-    if len(uris) > MAX_STORIES:
-        raise OracleScaleError(
-            f"{len(uris)} stories exceed the oracle limit of {MAX_STORIES}"
-        )
-    span = (max(store.snapshots) - min(store.snapshots)).days + 1
-    if span > MAX_SPAN_DAYS:
-        raise OracleScaleError(
-            f"{span}-day span exceeds the oracle limit of {MAX_SPAN_DAYS}"
-        )
-
-
-def _day_set(store: CollectionStore, day: date, page: int | None) -> set[str]:
-    """The day's stories, or those whose first placement that day is on ``page``."""
-    out = set()
-    for r in store.snapshots[day].results:
-        if page is None or _page_of(store, day, r.canonical_uri) == page:
-            out.add(r.canonical_uri)
-    return out
-
-
-def _first_seen(store: CollectionStore) -> dict[str, date]:
-    first: dict[str, date] = {}
+    table: dict[date, dict[str, int]] = {}
     for day in sorted(store.snapshots):
+        table[day] = placed = {}
         for r in store.snapshots[day].results:
-            if r.canonical_uri not in first:
-                first[r.canonical_uri] = day
+            placed.setdefault(r.canonical_uri, r.page)
+    stories = len(set().union(*table.values()))
+    if stories > MAX_STORIES:
+        raise OracleScaleError(f"{stories} stories exceed the oracle limit of {MAX_STORIES}")
+    span = (max(table) - min(table)).days + 1
+    if span > MAX_SPAN_DAYS:
+        raise OracleScaleError(f"{span}-day span exceeds the oracle limit of {MAX_SPAN_DAYS}")
+    return table
+
+
+def _first_seen(table: dict[date, dict[str, int]]) -> dict[str, date]:
+    first: dict[str, date] = {}
+    for day, placed in table.items():
+        for uri in placed:
+            first.setdefault(uri, day)
     return first
-
-
-def _page_of(store: CollectionStore, day: date, uri: str) -> int:
-    for r in store.snapshots[day].results:
-        if r.canonical_uri == uri:
-            return r.page
-    return 0
 
 
 def oracle_report(
     store: CollectionStore, intervals: Iterable[int] = DEFAULT_INTERVALS
 ) -> ChurnReport:
     """Recompute the whole churn report, pages 1-5, the slow, obvious way."""
-    _guard(store)
-    days = sorted(store.snapshots)
-    last = days[-1]
+    table = _placements(store)
+    days = list(table)
     pages = range(1, PAGES_MAX + 1)
 
-    replacement: dict[tuple[int, int | None], ReportCell] = {}
-    new_story: dict[tuple[int, int | None], ReportCell] = {}
+    cells: dict = {replacement_rate: {}, new_story_rate: {}}
     for lag in intervals:
+        # by subtraction, so that no lag steps past the calendar's ends
+        pairs = [(d, d2) for d in days for d2 in days if (d2 - d).days == lag]
         for page in [None, *pages]:
-            repl_rates = []
-            new_rates = []
-            for d in days:
-                d2 = d + timedelta(days=lag)
-                if d2 not in store.snapshots:
-                    continue
-                u0 = _day_set(store, d, page)
-                u1 = _day_set(store, d2, page)
-                if u0:
-                    gone = sum(1 for u in u0 if u not in u1)
-                    repl_rates.append(Fraction(gone, len(u0)))
-                if u1:
-                    fresh = sum(1 for u in u1 if u not in u0)
-                    new_rates.append(Fraction(fresh, len(u1)))
-            if repl_rates:
-                mean = sum(repl_rates, Fraction(0)) / len(repl_rates)
-                replacement[(lag, page)] = ReportCell(float(mean), len(repl_rates))
-            if new_rates:
-                mean = sum(new_rates, Fraction(0)) / len(new_rates)
-                new_story[(lag, page)] = ReportCell(float(mean), len(new_rates))
+            rates: dict = {replacement_rate: [], new_story_rate: []}
+            for d, d2 in pairs:
+                u0, u1 = (
+                    {u for u, p in table[day].items() if page is None or p == page}
+                    for day in (d, d2)
+                )
+                # each rate is defined by a non-empty set: the earlier one, then the later
+                for rate, defining in ((replacement_rate, u0), (new_story_rate, u1)):
+                    if defining:
+                        rates[rate].append(rate(u0, u1))
+            for rate, found in rates.items():
+                if found:
+                    mean = sum(found, Fraction(0)) / len(found)
+                    cells[rate][(lag, page)] = ReportCell(float(mean), len(found))
 
-    first = _first_seen(store)
-    span = (last - days[0]).days + 1
+    by_offset: dict[int, list[int]] = {}  # k: the page, or 0, of each story scraped k days after first seen
+    for uri, born in _first_seen(table).items():
+        for day, placed in table.items():
+            if day >= born:
+                by_offset.setdefault((day - born).days, []).append(placed.get(uri, 0))
     prob: dict[int, ReportCell] = {}
     prob_page: dict[tuple[int, int], ReportCell] = {}
-    for k in range(span):
-        eligible = 0
-        seen = 0
-        on_page = {m: 0 for m in pages}
-        for uri, born in first.items():
-            day = born + timedelta(days=k)
-            if day > last or day not in store.snapshots:
-                continue
-            eligible += 1
-            p = _page_of(store, day, uri)
-            if p >= 1:
-                seen += 1
-            if p in on_page:
-                on_page[p] += 1
-        if eligible == 0:
-            continue
-        prob[k] = ReportCell(float(Fraction(seen, eligible)), eligible)
+    for k, states in sorted(by_offset.items()):
+        n = len(states)
+        prob[k] = ReportCell(float(Fraction(n - states.count(0), n)), n)
         for m in pages:
-            prob_page[(k, m)] = ReportCell(
-                float(Fraction(on_page[m], eligible)), eligible
-            )
+            prob_page[(k, m)] = ReportCell(float(Fraction(states.count(m), n)), n)
 
     return ChurnReport(
         vertical=store.manifest.vertical,
-        replacement=replacement,
-        new_story=new_story,
+        replacement=cells[replacement_rate],
+        new_story=cells[new_story_rate],
         prob_seen=prob,
         prob_seen_page=prob_page,
     )
@@ -138,15 +108,14 @@ def oracle_report(
 def oracle_transition_counts(store: CollectionStore) -> list[list[int]]:
     """Day-to-day state pair counts, one story and one calendar day at a
     time. Pairs spanning an unscraped day contribute nothing."""
-    _guard(store)
-    days = sorted(store.snapshots)
-    first = _first_seen(store)
+    table = _placements(store)
+    last = max(table)
     counts = [[0] * N_STATES for _ in range(N_STATES)]
-    for uri, born in first.items():
+    for uri, born in _first_seen(table).items():
         day = born
-        while day < days[-1]:
+        while day < last:
             nxt = day + timedelta(days=1)
-            if day in store.snapshots and nxt in store.snapshots:
-                counts[_page_of(store, day, uri)][_page_of(store, nxt, uri)] += 1
+            if day in table and nxt in table:
+                counts[table[day].get(uri, 0)][table[nxt].get(uri, 0)] += 1
             day = nxt
     return counts

@@ -14,6 +14,7 @@ import serpchurn
 from serpchurn import cli, errors
 from serpchurn.cli import main
 from serpchurn.errors import SerpParseError
+from serpchurn.metrics import compute_rates, report_to_csv
 from serpchurn.model import SerpSnapshot, StoryTimeline, Vertical, results_from_links, snapshot_to_json
 from serpchurn.store import open_store
 from serpchurn.synth import SynthParams, generate
@@ -269,6 +270,14 @@ def test_metrics_csv_contains_exact_daily_rate(capsys, harvey_store):
     assert "new_story_rate,general,1,4,%r,1" % (2 / 9) in lines
 
 
+def test_metrics_by_default_prints_the_library_default_rates(capsys, tmp_path):
+    """The CLI's default intervals are the library's, so a monthly row shows."""
+    store = generate(SynthParams(days=32, pages=2, per_page=3, replacement_rate=0.3, seed=4), root=tmp_path / "s")
+    code, out, _ = run(capsys, "metrics", "--format", "csv", "--store", str(tmp_path / "s"))
+    assert (code, out) == (0, report_to_csv(compute_rates(store)))
+    assert ",30,," in out
+
+
 def test_metrics_output_is_deterministic(capsys, harvey_store):
     _, first, _ = run(capsys, "metrics", "--format", "csv", "--store", str(harvey_store))
     _, second, _ = run(capsys, "metrics", "--format", "csv", "--store", str(harvey_store))
@@ -410,18 +419,20 @@ def test_an_interval_count_is_ascii_digits(capsys, synth_store, command):
 
 
 @pytest.mark.parametrize(
-    "argv, lag",
+    "argv, got",
     [
-        (["metrics", "--intervals", "0"], 0),
-        (["metrics", "--intervals=-7d"], -7),
-        (["report", "--kind", "page-chart", "--interval", "0"], 0),
+        (["metrics", "--intervals", "0"], "0"),
+        (["metrics", "--intervals=-7d"], "-7"),
+        (["report", "--kind", "page-chart", "--interval", "0"], "0"),
+        # past int()'s 4,300-digit limit, which formatting the count would meet again
+        (["metrics", f"--intervals=-{'9' * 5000}"], "a negative count of 5000 digits"),
     ],
-    ids=["metrics-0", "metrics-minus-7d", "page-chart-0"],
+    ids=["metrics-0", "metrics-minus-7d", "page-chart-0", "metrics-minus-5000-digits"],
 )
-def test_a_lag_under_one_day_is_a_validation_error(capsys, synth_store, argv, lag):
+def test_a_lag_under_one_day_is_a_validation_error(capsys, synth_store, argv, got):
     capsys.readouterr()
     assert run(capsys, *argv, "--store", str(synth_store)) == (
-        2, "", f"error: validation: interval must be >= 1 day, got {lag}\n"
+        2, "", f"error: validation: interval must be >= 1 day, got {got}\n"
     )
 
 
@@ -444,19 +455,22 @@ def test_an_interval_longer_than_the_store_has_no_pair(capsys, synth_store, days
     )
 
 
-HUGE = "99999999999999999999"  # past any index-sized integer
+# past any index-sized integer, and past int()'s 4,300-digit limit
+HUGE = pytest.mark.parametrize("huge", ["99999999999999999999", "9" * 5000], ids=["20-digits", "5000-digits"])
 
 
-def test_metrics_at_a_huge_interval_lists_no_rate(capsys, synth_store):
+@HUGE
+def test_metrics_at_a_huge_interval_lists_no_rate(capsys, synth_store, huge):
     capsys.readouterr()
-    assert run(capsys, "metrics", "--intervals", HUGE, "--store", str(synth_store)) == (
+    assert run(capsys, "metrics", "--intervals", huge, "--store", str(synth_store)) == (
         0, "metric             interval page     mean      n\n", ""
     )
 
 
-def test_a_page_chart_at_a_huge_interval_has_no_data(capsys, synth_store):
+@HUGE
+def test_a_page_chart_at_a_huge_interval_has_no_data(capsys, synth_store, huge):
     capsys.readouterr()
-    assert run(capsys, "report", "--kind", "page-chart", "--interval", HUGE, "--store", str(synth_store)) == (
+    assert run(capsys, "report", "--kind", "page-chart", "--interval", huge, "--store", str(synth_store)) == (
         4, "", "error: insufficient-data: no page has enough data to chart\n"
     )
 

@@ -225,6 +225,7 @@ class TestIntervalAveraging:
         store = store_of(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
         with pytest.raises(InsufficientDataError, match=f"no usable {days}-day anchor pairs$"):
             avg_interval_rate(store, days, RateKind.REPLACEMENT)
+        assert compute_rates(store, [days]) == replace(oracle_report(store, [days]), prob_seen={}, prob_seen_page={})
 
     @pytest.mark.parametrize("seed, pages", [(1, 5), (2, 3), (3, 5)])
     def test_each_kind_page_and_lag_matches_the_oracle(self, seed, pages):
@@ -266,6 +267,7 @@ class TestIntervalAveraging:
         store = generate(SynthParams(days=12, start=date(9999, 12, 20), seed=3))
         mean, n = avg_interval_rate(store, 7, RateKind.REPLACEMENT)
         assert n == 5 and mean == 0  # anchors 9999-12-20 .. 12-24; no replacement
+        assert compute_report(store) == oracle_report(store)
 
 
 WORKED_TRIO = (
@@ -586,6 +588,16 @@ class TestStorePath:
             except InsufficientDataError:
                 counts = [[0] * 6 for _ in range(6)]
             assert counts == want_counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(messy_days(span=15))
+    def test_the_oracle_reads_each_day_as_the_scraper_keeps_it(self, raw):
+        """The judge's first placement in a day is the one ``dedup_snapshot``
+        keeps, at every lag that has a pair and on every page."""
+        stores = store_of(*raw), store_of(*map(dedup_snapshot, raw))
+        lags = range(1, len(stores[0].manifest.calendar))
+        assert oracle_report(stores[0], lags) == oracle_report(stores[1], lags)
+        assert oracle_transition_counts(stores[0]) == oracle_transition_counts(stores[1])
 
     @settings(max_examples=250, deadline=None)
     @given(messy_days(span=15))

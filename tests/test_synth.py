@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import replace
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from serpchurn.metrics import (
     RateKind,
     avg_interval_rate,
     compute_report,
+    report_to_csv,
     transition_matrix,
 )
 from serpchurn.model import Vertical
@@ -167,6 +170,39 @@ MIXED_KERNEL = (
 )
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _readme_store():
+    return generate(SynthParams(days=10, pages=2, per_page=5, replacement_rate=0.3, seed=42))
+
+
+def _gapped_store_with_a_repeat():
+    """Two gap days, and on 2024-01-04 story/0 listed on page 1, then again on page 2."""
+    store = generate(SynthParams(days=9, pages=2, per_page=3, replacement_rate=0.4, seed=17))
+    del store.snapshots[date(2024, 1, 3)]
+    del store.snapshots[date(2024, 1, 6)]
+    snap = store.snapshots[date(2024, 1, 4)]
+    again = replace(snap.results[0], page=2, rank=len(snap.results) + 1)
+    store.snapshots[snap.date] = replace(snap, results=(*snap.results, again))
+    return store
+
+
+def _news_store():
+    return generate(
+        SynthParams(
+            days=14,
+            pages=3,
+            per_page=4,
+            replacement_rate=0.25,
+            transition_kernel=MIXED_KERNEL,
+            seed=3,
+            vertical=Vertical.NEWS,
+        )
+    )
+
+
 class TestOracleAgreement:
     def test_field_for_field_on_mixed_dynamics(self):
         for seed in range(5):
@@ -215,6 +251,34 @@ class TestOracleAgreement:
         _, _, span = store.collection_stats()
         points = refind_points(store.build_timelines(), span - 1)
         assert points == [(k, want.prob_seen[k].value) for k in sorted(want.prob_seen)]
+
+    @pytest.mark.parametrize(
+        "make, report_sha, counts_sha",
+        [
+            (
+                _readme_store,
+                "ad4afe68a873f64e6adb69e0d2faa96f240ebb98d5c09480b6f0c8eb5e9ed7fd",
+                "6d3d98594a7e4943bc7f39c86f1c106f50292f47b7559254b1e9965ce895c06a",
+            ),
+            (
+                _gapped_store_with_a_repeat,
+                "3733697203dcfc24cc4dbf509a0db41b761aa892ccb52d3cd888e4b08d18b6fa",
+                "ba237e45d2412b85398f1e4c43e0d3ae6daad1528f592d570f82bd30a4e07fea",
+            ),
+            (
+                _news_store,
+                "6a95f34a42dd0db4a666c08c7a890e5abcc77ea81f54e1bd4710b4be8d09dcd3",
+                "2648171bb8508ec5f1899fc2dbc0a4ee4cfdf3506e6de4dc93ab67b551881984",
+            ),
+        ],
+        ids=["readme", "gaps-and-a-repeat", "news"],
+    )
+    def test_the_oracle_keeps_its_pinned_numbers(self, make, report_sha, counts_sha):
+        """The judge's own report and counts, pinned to fixed bytes, so that
+        no rewrite of the oracle changes what it computes."""
+        store = make()
+        assert _sha256(report_to_csv(oracle_report(store))) == report_sha
+        assert _sha256(repr(oracle_transition_counts(store))) == counts_sha
 
     def test_scale_guard_on_stories(self):
         p = SynthParams(days=30, pages=5, per_page=10, replacement_rate=0.9, seed=1)

@@ -21,7 +21,7 @@ _HOMES = {
     "FixtureNotFound": "errors",
     "InsufficientDataError": "errors",
     "RateLimited": "errors",
-    "RefindabilityModel": "model",
+    "RefindabilityModel": "fitting",
     "ReportCell": "metrics",
     "SerpChurnError": "errors",
     "SerpParseError": "errors",

@@ -36,7 +36,6 @@ from .model import (
     DEFAULT_DELAY,
     INTERVAL_NAMES,
     PAGES_MAX,
-    RefindabilityModel,
     SerpSnapshot,
     Vertical,
     parse_date,
@@ -51,6 +50,7 @@ from .store import (
 )
 
 if TYPE_CHECKING:
+    from .fitting import RefindabilityModel
     from .metrics import ChurnReport
     from .synth import Kernel
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from datetime import date
 from operator import mul
 from typing import Sequence
 
 from .errors import FitConvergenceError, UnderdeterminedFitError
-from .model import RefindabilityModel, StoryTimeline, Vertical
+from .model import StoryTimeline, Vertical
 from .metrics import refind_cells
 
 MIN_POINTS = 4  # three parameters need at least one spare observation
@@ -28,6 +29,36 @@ _GRID_STEPS = 500
 _B_FLOOR = 1e-9  # below this the decay term is indistinguishable from zero
 _REL_TOL = 1e-12
 _MAX_REFINE = 200
+
+
+@dataclass(frozen=True)
+class RefindabilityModel:
+    """Coefficients of the decay curve P(k) = a + b*e^(-c*k).
+
+    ``a`` is the long-run asymptote, ``b`` the decay amplitude, ``c`` the
+    per-day decay constant; ``sse`` is the fit's residual sum of squares.
+    """
+
+    a: float
+    b: float
+    c: float
+    sse: float
+    degenerate: bool = False  # c unidentifiable (b == 0)
+    clamped: bool = False  # parameters were pulled back into their valid ranges
+
+    _AB_SLACK = 1e-9
+
+    def __post_init__(self):
+        if not 0.0 <= self.a <= 1.0:
+            raise ValueError(f"a must be in [0,1], got {self.a}")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError(f"b must be in [0,1], got {self.b}")
+        if self.a + self.b > 1.0 + self._AB_SLACK:
+            raise ValueError(f"a + b must not exceed 1, got {self.a + self.b}")
+        if self.c < 0.0:
+            raise ValueError(f"c must be >= 0, got {self.c}")
+        if self.sse < 0.0:
+            raise ValueError(f"sse must be >= 0, got {self.sse}")
 
 
 def _decay(c: float, ks: Sequence[float]) -> list[float]:
@@ -147,9 +178,7 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     sse = _sse(a, b, _decay(c, ks), ps)
     if not math.isfinite(sse):
         raise FitConvergenceError("refinement produced non-finite error")
-    return RefindabilityModel(
-        a=a, b=b, c=c, sse=sse, degenerate=degenerate, clamped=clamped
-    )
+    return RefindabilityModel(a=a, b=b, c=c, sse=sse, degenerate=degenerate, clamped=clamped)
 
 
 def refind_points(timelines: Sequence[StoryTimeline], max_k: int | None = None) -> list[tuple[int, float]]:

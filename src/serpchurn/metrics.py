@@ -12,8 +12,7 @@ rates by calendar day (``_interval_means``), the rest by day offset (``_tally``)
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -65,6 +64,15 @@ class RateKind(Enum):
     NEW_STORY = "new_story_rate"
 
 
+def _lag_text(lag: int) -> str:
+    """``lag`` as str() prints it, or its sign and digit count past str()'s limit."""
+    try:
+        return str(lag)
+    except ValueError:
+        digits = int(abs(lag).bit_length() * math.log10(2))  # the count, or one short of it
+        return f"{'-' if lag < 0 else ''}({digits + (10**digits <= abs(lag))} digits)"
+
+
 def _interval_means(
     store: CollectionStore, timelines: Iterable[StoryTimeline], lags: Iterable[int]
 ) -> dict[RateKind, dict[tuple[int, int | None], tuple[Fraction, int]]]:
@@ -77,7 +85,7 @@ def _interval_means(
     lags = tuple(lags)
     for lag in lags:
         if lag < 1:
-            raise ValidationError(f"interval must be >= 1 day, got {lag}")
+            raise ValidationError(f"interval must be >= 1 day, got {_lag_text(lag)}")
     calendar = store.manifest.calendar
     # at lag 0, the stories listed each day; a lag as long as the calendar has no anchor pair
     lags = (0, *(lag for lag in lags if lag < len(calendar)))
@@ -125,7 +133,7 @@ def avg_interval_rate(
     mean = _interval_means(store, store.build_timelines(), (days,))[kind].get((days, page))
     if mean is None:
         on_page = "" if page is None else f" on page {page}"
-        raise InsufficientDataError(f"no usable {days}-day anchor pairs{on_page}")
+        raise InsufficientDataError(f"no usable {_lag_text(days)}-day anchor pairs{on_page}")
     return mean
 
 
@@ -382,8 +390,6 @@ def compute_report(store: CollectionStore) -> ChurnReport:
 
 # -- CSV interchange ---------------------------------------------------
 
-CSV_COLUMNS = ("metric", "vertical", "interval", "page", "value", "n")
-
 
 def report_to_csv(report: ChurnReport) -> str:
     """Render the report as CSV with one row per cell.
@@ -391,19 +397,12 @@ def report_to_csv(report: ChurnReport) -> str:
     The interval column carries the lag in days for rates and the day
     offset k for probabilities; page is empty for all-pages figures.
     Values are shortest-round-trip floats, so parsing the CSV back
-    reproduces them bit for bit.
+    reproduces them bit for bit. No field is ever quoted: metric names,
+    vertical names, ints and float reprs hold no comma, quote or line break.
     """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    cells = [*rate_rows(report)]
+    cells += (("prob_seen", k, None, report.prob_seen[k]) for k in sorted(report.prob_seen))
+    cells += (("prob_seen", k, m, report.prob_seen_page[k, m]) for k, m in sorted(report.prob_seen_page))
     v = report.vertical.value
-
-    for metric, days, page, cell in rate_rows(report):
-        w.writerow([metric, v, days, "" if page is None else page, repr(cell.value), cell.n])
-    for k in sorted(report.prob_seen):
-        cell = report.prob_seen[k]
-        w.writerow(["prob_seen", v, k, "", repr(cell.value), cell.n])
-    for (k, m) in sorted(report.prob_seen_page):
-        cell = report.prob_seen_page[(k, m)]
-        w.writerow(["prob_seen", v, k, m, repr(cell.value), cell.n])
-    return buf.getvalue()
+    rows = (f"{metric},{v},{key},{page or ''},{cell.value!r},{cell.n}\n" for metric, key, page, cell in cells)
+    return "metric,vertical,interval,page,value,n\n" + "".join(rows)

@@ -92,13 +92,9 @@ class SerpResult:
     rank: int  # 1-based position across all pages of the snapshot
 
     def __post_init__(self):
-        if not (
-            isinstance(self.uri, str)
-            and isinstance(self.canonical_uri, str)
-            and isinstance(self.title, str)
-        ):
-            name = next(n for n in ("uri", "canonical_uri", "title") if not isinstance(getattr(self, n), str))
-            raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("uri", "canonical_uri", "title"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if type(self.page) is not int or type(self.rank) is not int:  # not 2.0, nor True
             raise ValueError(f"page and rank must be ints, got {self.page!r} and {self.rank!r}")
         if not 1 <= self.page <= PAGES_MAX:
@@ -164,11 +160,9 @@ class StoryTimeline:
         first = self.pages.get(0)
         if type(first) is not int or not 1 <= first <= PAGES_MAX:
             raise ValueError(f"day-0 observation must be a page in [1,{PAGES_MAX}], got {first!r}")
-        pages = self.pages.values()
-        # 2.0 and True equal pages 2 and 1 but are no page, so the types count too
-        if not (_PAGES.issuperset(pages) and {int}.issuperset(map(type, pages))):
-            bad = next(v for v in pages if type(v) is not int or v not in _PAGES)
-            raise ValueError(f"a page must be in [1,{PAGES_MAX}], got {bad!r}")
+        for page in self.pages.values():  # 2.0 and True equal pages 2 and 1 but are no page
+            if type(page) is not int or not 1 <= page <= PAGES_MAX:
+                raise ValueError(f"a page must be in [1,{PAGES_MAX}], got {page!r}")
         offsets = self.unscraped.union(self.pages)
         if min(offsets) < 0 or max(offsets) >= self.length:
             raise ValueError(f"offsets must lie in [0, {self.length})")
@@ -243,36 +237,6 @@ class CollectionManifest:
     def gaps(self) -> frozenset[date]:
         """The calendar days with no snapshot."""
         return frozenset(self.calendar).difference(self.dates)
-
-
-@dataclass(frozen=True)
-class RefindabilityModel:
-    """Coefficients of the decay curve P(k) = a + b*e^(-c*k).
-
-    ``a`` is the long-run asymptote, ``b`` the decay amplitude, ``c`` the
-    per-day decay constant; ``sse`` is the fit's residual sum of squares.
-    """
-
-    a: float
-    b: float
-    c: float
-    sse: float
-    degenerate: bool = False  # c unidentifiable (b == 0)
-    clamped: bool = False  # parameters were pulled back into their valid ranges
-
-    _AB_SLACK = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"a must be in [0,1], got {self.a}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0,1], got {self.b}")
-        if self.a + self.b > 1.0 + self._AB_SLACK:
-            raise ValueError(f"a + b must not exceed 1, got {self.a + self.b}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be >= 0, got {self.c}")
-        if self.sse < 0.0:
-            raise ValueError(f"sse must be >= 0, got {self.sse}")
 
 
 # --- snapshot interchange format ------------------------------------------

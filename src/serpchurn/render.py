@@ -8,10 +8,13 @@ no scripts and no external assets.
 from __future__ import annotations
 
 from datetime import timedelta
-from typing import AbstractSet, Iterator, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterator, Sequence
 
 from .metrics import ChurnReport, TemporalMatrix, TransitionEstimate, overlap, rate_rows, recall
-from .model import PAGES_MAX, RefindabilityModel, StoryTimeline
+from .model import PAGES_MAX, StoryTimeline
+
+if TYPE_CHECKING:
+    from .fitting import RefindabilityModel
 
 # Fill colors for page states 1-5 on the temporal grid and bar charts.
 PAGE_COLORS = {

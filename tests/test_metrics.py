@@ -219,11 +219,20 @@ class TestIntervalAveraging:
             assert _interval_days(f"{bad}d") == bad
             with pytest.raises(ValidationError, match=f"interval must be >= 1 day, got {bad}$"):
                 avg_interval_rate(store, bad, RateKind.REPLACEMENT)
+        # a lag past str()'s digit limit is refused alike, by its sign and size
+        with pytest.raises(ValidationError, match=r"interval must be >= 1 day, got -\(5001 digits\)$"):
+            avg_interval_rate(store, -(10**5000), RateKind.REPLACEMENT)
+        with pytest.raises(ValidationError, match=r"got -\(5001 digits\)$"):
+            compute_rates(store, [-(10**5000)])
 
-    @pytest.mark.parametrize("days", [3, 400, 3_000_000, 999_999_999, 1_000_000_000])
-    def test_a_lag_past_the_span_has_no_pair(self, days):
+    @pytest.mark.parametrize(
+        "days, shown",
+        [(d, str(d)) for d in (3, 400, 3_000_000, 999_999_999, 1_000_000_000)] + [(10**5000, "(5001 digits)")],
+        ids=["3", "400", "3000000", "999999999", "1000000000", "10**5000"],
+    )
+    def test_a_lag_past_the_span_has_no_pair(self, days, shown):
         store = store_of(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
-        with pytest.raises(InsufficientDataError, match=f"no usable {days}-day anchor pairs$"):
+        with pytest.raises(InsufficientDataError, match=re.escape(f"no usable {shown}-day anchor pairs") + "$"):
             avg_interval_rate(store, days, RateKind.REPLACEMENT)
         assert compute_rates(store, [days]) == replace(oracle_report(store, [days]), prob_seen={}, prob_seen_page={})
 
@@ -705,6 +714,30 @@ class TestReport:
             assert vertical == report.vertical.value
             cell = cells[metric][(int(interval), int(page) if page else None)]
             assert float(value) == cell.value and int(n) == cell.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(messy_days(), st.sampled_from(Vertical))
+    def test_the_csv_reads_back_cell_for_cell(self, raw, vertical):
+        """Parsed with ``csv.reader``, every row gives back its cell's metric,
+        interval, page (empty for all pages), value to the bit and n."""
+        store = CollectionStore("topic", vertical)
+        for day in raw:
+            store.ingest(replace(day, vertical=vertical))
+        report = compute_report(store)
+        want = {
+            (metric, str(key), "" if page is None else str(page)): (cell.value.hex(), cell.n)
+            for metric, cells in (("replacement_rate", report.replacement), ("new_story_rate", report.new_story))
+            for (key, page), cell in cells.items()
+        }
+        want.update((("prob_seen", str(k), ""), (cell.value.hex(), cell.n)) for k, cell in report.prob_seen.items())
+        want.update(
+            (("prob_seen", str(k), str(m)), (cell.value.hex(), cell.n)) for (k, m), cell in report.prob_seen_page.items()
+        )
+        header, *rows = csv.reader(io.StringIO(report_to_csv(report)))
+        assert header == ["metric", "vertical", "interval", "page", "value", "n"]
+        assert {row[1] for row in rows} <= {vertical.value}
+        got = {(metric, key, page): (float(value).hex(), int(n)) for metric, _, key, page, value, n in rows}
+        assert len(got) == len(rows) and got == want
 
     def test_csv_header_and_shape(self, harvey_snapshots):
         report = self.fixture_report(harvey_snapshots)

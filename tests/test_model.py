@@ -5,9 +5,9 @@ from datetime import date
 import pytest
 
 from serpchurn.errors import SerpParseError
+from serpchurn.fitting import RefindabilityModel
 from serpchurn.model import (
     CollectionManifest,
-    RefindabilityModel,
     SerpResult,
     SerpSnapshot,
     StoryTimeline,

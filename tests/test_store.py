@@ -343,6 +343,27 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     assert _files(root) == before
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=["022", "077", "000"])
+def test_ingested_files_take_their_directorys_read_and_write_bits(tmp_path, capsys, umask):
+    """Every file ``ingest`` writes has its directory's read and write bits,
+    not the owner-only mode of a fresh temporary file, whatever the umask."""
+    root = tmp_path / "col"
+    (root / "snapshots").mkdir(parents=True)
+    for directory in (root, root / "snapshots"):
+        directory.chmod(0o750)
+    docs = [_doc(tmp_path, snap(day, [("a", 1)])) for day in (1, 2)]
+    old = os.umask(umask)
+    try:
+        assert main(["ingest", *docs, "--store", str(root)]) == 0
+    finally:
+        os.umask(old)
+    assert capsys.readouterr().err == "ingested 2 snapshot(s)\n"
+    written = [root / "collection.json", *sorted((root / "snapshots").iterdir())]
+    assert [(p.name, oct(p.stat().st_mode & 0o777)) for p in written] == [
+        ("collection.json", "0o640"), ("2024-01-01.json", "0o640"), ("2024-01-02.json", "0o640")
+    ]
+
+
 def test_a_directory_at_the_manifest_refuses_a_write_before_any_file(tmp_path, capsys):
     root = tmp_path / "col"
     assert main(["synth", "--days", "3", "--store", str(root)]) == 0

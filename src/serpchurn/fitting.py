@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from operator import mul
 from typing import Sequence
 
 from .errors import FitConvergenceError, UnderdeterminedFitError
-from .model import StoryTimeline, Vertical
+from .model import Checked, StoryTimeline, Vertical
 from .metrics import refind_cells
 
 MIN_POINTS = 4  # three parameters need at least one spare observation
@@ -31,34 +31,30 @@ _REL_TOL = 1e-12
 _MAX_REFINE = 200
 
 
-@dataclass(frozen=True)
-class RefindabilityModel:
+class RefindabilityModel(Checked, namedtuple("RefindabilityModel", "a b c sse degenerate clamped")):
     """Coefficients of the decay curve P(k) = a + b*e^(-c*k).
 
     ``a`` is the long-run asymptote, ``b`` the decay amplitude, ``c`` the
     per-day decay constant; ``sse`` is the fit's residual sum of squares.
     """
 
-    a: float
-    b: float
-    c: float
-    sse: float
-    degenerate: bool = False  # c unidentifiable (b == 0)
-    clamped: bool = False  # parameters were pulled back into their valid ranges
-
+    __slots__ = ()
     _AB_SLACK = 1e-9
 
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"a must be in [0,1], got {self.a}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0,1], got {self.b}")
-        if self.a + self.b > 1.0 + self._AB_SLACK:
-            raise ValueError(f"a + b must not exceed 1, got {self.a + self.b}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be >= 0, got {self.c}")
-        if self.sse < 0.0:
-            raise ValueError(f"sse must be >= 0, got {self.sse}")
+    def __new__(cls, a: float, b: float, c: float, sse: float, degenerate: bool = False, clamped: bool = False):
+        """``degenerate``: c is unidentifiable (b == 0); ``clamped``: the
+        parameters were pulled back into their valid ranges."""
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"a must be in [0,1], got {a}")
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"b must be in [0,1], got {b}")
+        if a + b > 1.0 + cls._AB_SLACK:
+            raise ValueError(f"a + b must not exceed 1, got {a + b}")
+        if c < 0.0:
+            raise ValueError(f"c must be >= 0, got {c}")
+        if sse < 0.0:
+            raise ValueError(f"sse must be >= 0, got {sse}")
+        return tuple.__new__(cls, (a, b, c, sse, degenerate, clamped))
 
 
 def _decay(c: float, ks: Sequence[float]) -> list[float]:

@@ -13,8 +13,7 @@ rates by calendar day (``_interval_means``), the rest by day offset (``_tally``)
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from datetime import date
 from enum import Enum
 from itertools import product
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
-from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, StoryTimeline, Vertical
+from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, Checked, StoryTimeline, Vertical
 from .store import CollectionStore
 
 # -- pairwise set rates ------------------------------------------------
@@ -220,21 +219,19 @@ def prob_seen_on_page(timelines: Sequence[StoryTimeline], k: int, m: int) -> Fra
 # -- day-to-day transitions --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionEstimate:
+class TransitionEstimate(Checked, namedtuple("TransitionEstimate", "counts")):
     """Maximum-likelihood day-to-day movement between page states.
 
     State 0 means absent from pages 1-5 that day. Rows with no observed
     departures stay undefined rather than being filled in.
     """
 
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.counts) != N_STATES or any(
-            len(row) != N_STATES for row in self.counts
-        ):
+    def __new__(cls, counts: tuple[tuple[int, ...], ...]):
+        if len(counts) != N_STATES or any(len(row) != N_STATES for row in counts):
             raise ValidationError(f"counts must be {N_STATES}x{N_STATES}")
+        return tuple.__new__(cls, (counts,))
 
     @property
     def total(self) -> int:
@@ -265,8 +262,7 @@ def transition_matrix(timelines: Sequence[StoryTimeline]) -> TransitionEstimate:
 # -- temporal placement matrix -----------------------------------------
 
 
-@dataclass(frozen=True)
-class TemporalMatrix:
+class TemporalMatrix(namedtuple("TemporalMatrix", "start days gaps timelines")):
     """The story-by-day grid of page states over the whole collection span.
 
     ``timelines`` are the grid's rows, ordered by first appearance, each
@@ -277,10 +273,7 @@ class TemporalMatrix:
     observations follow, and None fills the span after its timeline ends.
     """
 
-    start: date
-    days: int
-    gaps: frozenset[date]
-    timelines: tuple[StoryTimeline, ...]
+    __slots__ = ()
 
 
 def temporal_matrix(
@@ -305,25 +298,22 @@ def temporal_matrix(
 # -- the aggregate report ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportCell:
-    value: float  # converted once from an exact Fraction
-    n: int  # observations behind the value
+class ReportCell(namedtuple("ReportCell", "value n")):
+    """A float ``value``, converted once from an exact Fraction, and the ``n``
+    observations behind it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChurnReport:
+class ChurnReport(namedtuple("ChurnReport", "vertical replacement new_story prob_seen prob_seen_page")):
     """Every headline number for one collection, ready for CSV or text.
 
-    Rate keys are (interval_days, page) with page None for the all-pages
-    figure; probability keys are the day offset k, or (k, page).
+    Each field but ``vertical`` maps a key to a ``ReportCell``. Rate keys
+    are (interval_days, page) with page None for the all-pages figure;
+    probability keys are the day offset k, or (k, page).
     """
 
-    vertical: Vertical
-    replacement: dict[tuple[int, int | None], ReportCell]
-    new_story: dict[tuple[int, int | None], ReportCell]
-    prob_seen: dict[int, ReportCell]
-    prob_seen_page: dict[tuple[int, int], ReportCell]
+    __slots__ = ()
 
 
 def rate_rows(report: ChurnReport) -> Iterator[tuple[str, int, int | None, ReportCell]]:

@@ -5,15 +5,19 @@ string, fragment and default port stripped, host lowercased, trailing
 slashes removed, path kept case-sensitively. Everything downstream
 (timelines, churn metrics, model fitting) keys on that canonical form.
 
-All types here are immutable; every function is pure.
+All types here are immutable; every function is pure. The records are
+named tuples, except ``StoryTimeline``, a class with slots; a record
+with rules checks them in its constructor, and its ``_make`` and
+``_replace`` build through that constructor, as ``pickle`` and ``copy``
+do.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from enum import Enum
 from itertools import starmap
@@ -26,7 +30,6 @@ from .errors import SerpParseError, UriParseError
 PAGES_MAX = 5
 DEFAULT_DELAY = 3.0  # seconds to wait before each live page request
 N_STATES = PAGES_MAX + 1  # pages 1-5 plus state 0 (outside the pages)
-_PAGES = frozenset(range(1, PAGES_MAX + 1))
 INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}  # the paper's lags in days, by name
 
 # Ports that never change resource identity once the scheme is gone.
@@ -81,49 +84,51 @@ def canonicalize(uri: str) -> str:
     return netloc + parts.path.rstrip("/")
 
 
-@dataclass(frozen=True, slots=True)
-class SerpResult:
+class Checked:
+    """The first base of a named-tuple record whose ``__new__`` checks its
+    fields: ``_make``, and so ``_replace``, build through that ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class SerpResult(Checked, namedtuple("SerpResult", "uri canonical_uri title page rank")):
     """One extracted result link: where it pointed and where it sat."""
 
-    uri: str
-    canonical_uri: str
-    title: str
-    page: int  # 1-5
-    rank: int  # 1-based position across all pages of the snapshot
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("uri", "canonical_uri", "title"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if type(self.page) is not int or type(self.rank) is not int:  # not 2.0, nor True
-            raise ValueError(f"page and rank must be ints, got {self.page!r} and {self.rank!r}")
-        if not 1 <= self.page <= PAGES_MAX:
-            raise ValueError(f"page must be in [1, {PAGES_MAX}], got {self.page}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __new__(cls, uri: str, canonical_uri: str, title: str, page: int, rank: int):
+        """``page`` is 1-5; ``rank`` is the 1-based position across all pages of the snapshot."""
+        for name, value in (("uri", uri), ("canonical_uri", canonical_uri), ("title", title)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if type(page) is not int or type(rank) is not int:  # not 2.0, nor True
+            raise ValueError(f"page and rank must be ints, got {page!r} and {rank!r}")
+        if not 1 <= page <= PAGES_MAX:
+            raise ValueError(f"page must be in [1, {PAGES_MAX}], got {page}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        return tuple.__new__(cls, (uri, canonical_uri, title, page, rank))
 
 
-@dataclass(frozen=True, slots=True)
-class SerpSnapshot:
+class SerpSnapshot(Checked, namedtuple("SerpSnapshot", "query vertical date results")):
     """All results extracted for one query x vertical x calendar date."""
 
-    query: str
-    vertical: Vertical
-    date: date
-    results: tuple[SerpResult, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.query, str):
-            raise ValueError(f"query must be a string, got {self.query!r}")
-        if not isinstance(self.results, tuple):
-            object.__setattr__(self, "results", tuple(self.results))
+    def __new__(cls, query: str, vertical: Vertical, date: date, results: Iterable[SerpResult]):
+        if not isinstance(query, str):
+            raise ValueError(f"query must be a string, got {query!r}")
+        results = tuple(results)
         last_rank = 0
-        for r in self.results:
+        for r in results:
             if r.rank <= last_rank:
-                raise ValueError(
-                    f"ranks must be strictly increasing, got {r.rank} after {last_rank}"
-                )
+                raise ValueError(f"ranks must be strictly increasing, got {r.rank} after {last_rank}")
             last_rank = r.rank
+        return tuple.__new__(cls, (query, vertical, date, results))
 
 
 def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
@@ -135,40 +140,63 @@ def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
     first: dict[str, SerpResult] = {}
     for r in snapshot.results:
         first.setdefault(r.canonical_uri, r)
-    return replace(snapshot, results=tuple(first.values()))
+    return snapshot._replace(results=tuple(first.values()))
 
 
-@dataclass(frozen=True, slots=True)
 class StoryTimeline:
     """One story's page placements, by day offset from its first-seen day.
 
     ``pages`` maps each offset below ``length`` where the story sat on a
     page to that page (1-5), offset 0 included; ``unscraped`` holds the
     offsets with no snapshot. Every other offset is state 0: scraped, but
-    the story was outside pages 1-5.
+    the story was outside pages 1-5. A class, not a named tuple, since its
+    ``len`` is ``length``; ``pages`` is read-only, and left out of the hash
+    since a dict cannot be hashed.
     """
 
-    canonical_uri: str
-    first_seen: date
-    length: int
-    pages: dict[int, int] = field(hash=False)  # read-only; a dict cannot be hashed
-    unscraped: frozenset[int] = frozenset()
+    __slots__ = ("canonical_uri", "first_seen", "length", "pages", "unscraped")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, canonical_uri: str, first_seen: date, length: int, pages: dict[int, int],
+                 unscraped: frozenset[int] = frozenset()):
+        if length < 1:
             raise ValueError("a timeline needs at least the first-seen observation")
-        first = self.pages.get(0)
+        first = pages.get(0)
         if type(first) is not int or not 1 <= first <= PAGES_MAX:
             raise ValueError(f"day-0 observation must be a page in [1,{PAGES_MAX}], got {first!r}")
-        for page in self.pages.values():  # 2.0 and True equal pages 2 and 1 but are no page
+        for page in pages.values():  # 2.0 and True equal pages 2 and 1 but are no page
             if type(page) is not int or not 1 <= page <= PAGES_MAX:
                 raise ValueError(f"a page must be in [1,{PAGES_MAX}], got {page!r}")
-        offsets = self.unscraped.union(self.pages)
-        if min(offsets) < 0 or max(offsets) >= self.length:
-            raise ValueError(f"offsets must lie in [0, {self.length})")
-        both = self.unscraped.intersection(self.pages)  # so offset 0 is never unscraped
+        offsets = unscraped.union(pages)
+        if min(offsets) < 0 or max(offsets) >= length:
+            raise ValueError(f"offsets must lie in [0, {length})")
+        both = unscraped.intersection(pages)  # so offset 0 is never unscraped
         if both:
             raise ValueError(f"offsets {sorted(both)} are both pages and unscraped")
+        for name, value in zip(self.__slots__, (canonical_uri, first_seen, length, pages, unscraped)):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return self.canonical_uri, self.first_seen, self.length, self.pages, self.unscraped
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash((self.canonical_uri, self.first_seen, self.length, self.unscraped))
+
+    def __repr__(self) -> str:
+        return "StoryTimeline(canonical_uri=%r, first_seen=%r, length=%r, pages=%r, unscraped=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return StoryTimeline, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def spell(self, row: list, at: int, cell: Callable[[int | None, int], object]) -> list:
         """``row``, spelling offset k as state 0 at ``row[at + k]``, with the pages and
@@ -193,31 +221,10 @@ class StoryTimeline:
         return "{%s}" % ", ".join(row)
 
 
-def trusted(cls):
-    """A builder of ``cls``, a frozen slots dataclass of five fields, from
-    values a check has already passed: each is set through its slot, and
-    ``__post_init__`` does not run again."""
-    a, b, c, d, e = (getattr(cls, f.name).__set__ for f in fields(cls))
-
-    def build(v, w, x, y, z):
-        obj = object.__new__(cls)
-        a(obj, v)
-        b(obj, w)
-        c(obj, x)
-        d(obj, y)
-        e(obj, z)
-        return obj
-
-    return build
-
-
-@dataclass(frozen=True)
-class CollectionManifest:
+class CollectionManifest(namedtuple("CollectionManifest", "topic vertical dates", defaults=((),))):
     """A collection's identity plus the sorted dates it holds; all else derives from them."""
 
-    topic: str
-    vertical: Vertical
-    dates: tuple[date, ...] = ()
+    __slots__ = ()
 
     @property
     def start_date(self) -> date | None:
@@ -299,12 +306,15 @@ def read_json(data: str | bytes):
     return doc
 
 
+_LINK_FIELDS = itemgetter("uri", "canonical_uri", "title", "page", "rank")
+
+
 def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
     """The snapshot a document holds, read by ``read_json``. Any fault in
     decoding, parsing or building raises SerpParseError."""
     try:
         doc = read_json(data)
-        results = _results_of(doc["links"])
+        results = tuple(starmap(SerpResult, map(_LINK_FIELDS, doc["links"])))  # the first faulty link raises
         return SerpSnapshot(
             query=doc["query"],
             vertical=Vertical(doc["vertical"]),
@@ -315,26 +325,6 @@ def snapshot_from_json(data: str | bytes) -> SerpSnapshot:
         raise SerpParseError(f"snapshot document is not valid JSON: {e}") from None
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SerpParseError(f"snapshot document is malformed: {e}") from None
-
-
-_LINK_FIELDS = itemgetter("uri", "canonical_uri", "title", "page", "rank")
-_trusted_result = trusted(SerpResult)
-
-
-def _results_of(links) -> tuple[SerpResult, ...]:
-    """A document's links as results, checked as one batch: if all pass, none is
-    checked again; else SerpResult(...) builds each in turn, and the first
-    faulty link raises as it always did."""
-    try:
-        rows = list(map(_LINK_FIELDS, links))
-    except (KeyError, TypeError):  # a missing key, or a link that is no object
-        rows = []
-    uris, canonical_uris, titles, pages, ranks = tuple(zip(*rows)) or ((),) * 5
-    if rows and {str}.issuperset(map(type, uris + canonical_uris + titles)) and (
-        {int}.issuperset(map(type, pages + ranks)) and _PAGES.issuperset(pages) and min(ranks) >= 1
-    ):
-        return tuple(starmap(_trusted_result, rows))
-    return tuple(SerpResult(*_LINK_FIELDS(link)) for link in links)
 
 
 def results_from_links(links: Iterable[tuple[str, str, int]]) -> tuple[SerpResult, ...]:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from html import unescape
 from pathlib import Path
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from .errors import FixtureNotFound, RateLimited, TransportError, ValidationError
-from .model import DEFAULT_DELAY, PAGES_MAX, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
+from .model import DEFAULT_DELAY, PAGES_MAX, Checked, SerpSnapshot, Vertical, dedup_snapshot, results_from_links
 
 SEARCH_URL = "https://www.google.com/search"
 RESULTS_PER_PAGE = 10
@@ -33,28 +33,26 @@ _UA = (
 _BLOCK_MARKERS = ("unusual traffic", 'action="/sorry/', "g-recaptcha")
 
 
-@dataclass(frozen=True)
-class FetchPlan:
-    """Everything needed to fetch one query's pages for one day."""
+class FetchPlan(Checked, namedtuple("FetchPlan", "query vertical pages date_range politeness_delay fixture_dir")):
+    """Everything needed to fetch one query's pages for one day; a plan with
+    a ``fixture_dir`` replays saved pages from there instead of fetching."""
 
-    query: str
-    vertical: Vertical = Vertical.GENERAL
-    pages: int = PAGES_MAX
-    date_range: tuple[date, date] | None = None
-    politeness_delay: float = DEFAULT_DELAY
-    fixture_dir: Path | None = None  # replay saved pages from here instead of fetching
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.query.strip():
+    def __new__(cls, query: str, vertical: Vertical = Vertical.GENERAL, pages: int = PAGES_MAX,
+                date_range: tuple[date, date] | None = None, politeness_delay: float = DEFAULT_DELAY,
+                fixture_dir: Path | None = None):
+        if not query.strip():
             raise ValidationError("query must be non-empty")
-        if not 1 <= self.pages <= PAGES_MAX:
-            raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
-        if not math.isfinite(self.politeness_delay):
-            raise ValidationError(f"politeness_delay must be finite, got {self.politeness_delay}")
-        if self.politeness_delay < 0:
+        if not 1 <= pages <= PAGES_MAX:
+            raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {pages}")
+        if not math.isfinite(politeness_delay):
+            raise ValidationError(f"politeness_delay must be finite, got {politeness_delay}")
+        if politeness_delay < 0:
             raise ValidationError("politeness_delay must be >= 0")
-        if self.date_range is not None and self.date_range[0] > self.date_range[1]:
+        if date_range is not None and date_range[0] > date_range[1]:
             raise ValidationError("date_range start must not exceed its end")
+        return tuple.__new__(cls, (query, vertical, pages, date_range, politeness_delay, fixture_dir))
 
 
 def query_slug(query: str) -> str:

@@ -34,11 +34,26 @@ from .model import (
     read_json,
     snapshot_from_json,
     snapshot_to_json,
-    trusted,
 )
 
 MANIFEST_NAME = "collection.json"
 SNAPSHOT_DIR = "snapshots"
+
+# The walk reads only checked snapshots, so it builds each timeline by
+# setting its slots, without StoryTimeline's checks.
+_SET_URI, _SET_FIRST, _SET_LENGTH, _SET_PAGES, _SET_UNSCRAPED = (
+    getattr(StoryTimeline, name).__set__ for name in StoryTimeline.__slots__
+)
+
+
+def _walked_timeline(uri: str, first_seen: date, length: int, pages: dict, unscraped: frozenset) -> StoryTimeline:
+    t = object.__new__(StoryTimeline)
+    _SET_URI(t, uri)
+    _SET_FIRST(t, first_seen)
+    _SET_LENGTH(t, length)
+    _SET_PAGES(t, pages)
+    _SET_UNSCRAPED(t, unscraped)
+    return t
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -162,7 +177,9 @@ class CollectionStore:
                 )
             days = _stored_days(self.root) | {snapshot.date for snapshot in snapshots}
             snap_dir = self.root / SNAPSHOT_DIR
-            snap_dir.mkdir(parents=True, exist_ok=True)
+            if not snap_dir.is_dir():  # a new one takes the store directory's permission bits, not the umask's
+                snap_dir.mkdir(parents=True, exist_ok=True)
+                snap_dir.chmod(os.stat(self.root).st_mode & 0o777)
             for snapshot in snapshots:
                 _atomic_write(
                     snap_dir / f"{snapshot.date.isoformat()}.json",
@@ -213,8 +230,9 @@ class CollectionStore:
                     story[1].setdefault(idx - story[0], r.page)
             stories.update(sorted(new.items()))
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
-        make = trusted(StoryTimeline)  # the store's snapshots were checked
-        return tuple(make(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items())
+        return tuple(
+            _walked_timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()
+        )
 
 
 def open_store(root: Path) -> CollectionStore:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date, timedelta
 from typing import Iterator
 
 from .errors import ValidationError
 from .model import (
     N_STATES,
+    Checked,
     PAGES_MAX,
     SerpSnapshot,
     Vertical,
@@ -49,35 +50,30 @@ def validate_kernel(kernel: Kernel) -> None:
             raise ValidationError(f"kernel row {i} sums to {sum(row)}, not 1")
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(
+    Checked, namedtuple("SynthParams", "days pages per_page replacement_rate transition_kernel seed topic vertical start")
+):
     """Shape and dynamics of one generated collection."""
 
-    days: int
-    pages: int = PAGES_MAX
-    per_page: int = 10
-    replacement_rate: float = 0.0
-    transition_kernel: Kernel | None = None
-    seed: int = 0
-    topic: str = "synthetic"
-    vertical: Vertical = Vertical.GENERAL
-    start: date = date(2024, 1, 1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.days < 1:
-            raise ValidationError(f"days must be >= 1, got {self.days}")
-        if (date.max - self.start).days < self.days - 1:
-            raise ValidationError(f"{self.days} days from {self.start} run past {date.max}")
-        if not 1 <= self.pages <= PAGES_MAX:
-            raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {self.pages}")
-        if self.per_page < 1:
-            raise ValidationError(f"per_page must be >= 1, got {self.per_page}")
-        if not 0.0 <= self.replacement_rate <= 1.0:
-            raise ValidationError(
-                f"replacement_rate must be in [0,1], got {self.replacement_rate}"
-            )
-        if self.transition_kernel is not None:
-            validate_kernel(self.transition_kernel)
+    def __new__(cls, days: int, pages: int = PAGES_MAX, per_page: int = 10, replacement_rate: float = 0.0,
+                transition_kernel: Kernel | None = None, seed: int = 0, topic: str = "synthetic",
+                vertical: Vertical = Vertical.GENERAL, start: date = date(2024, 1, 1)):
+        if days < 1:
+            raise ValidationError(f"days must be >= 1, got {days}")
+        if (date.max - start).days < days - 1:
+            raise ValidationError(f"{days} days from {start} run past {date.max}")
+        if not 1 <= pages <= PAGES_MAX:
+            raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {pages}")
+        if per_page < 1:
+            raise ValidationError(f"per_page must be >= 1, got {per_page}")
+        if not 0.0 <= replacement_rate <= 1.0:
+            raise ValidationError(f"replacement_rate must be in [0,1], got {replacement_rate}")
+        if transition_kernel is not None:
+            validate_kernel(transition_kernel)
+        fields = days, pages, per_page, replacement_rate, transition_kernel, seed, topic, vertical, start
+        return tuple.__new__(cls, fields)
 
 
 def _kernel_move(row: tuple[float, ...], u: float) -> int:

@@ -30,6 +30,8 @@ PROBE = (
 HTTP_CLIENT = ("urllib.request", "http.client", "ssl")
 # no CSV field needs quoting, so the report is written without the csv module
 CSV_WRITER = ("csv", "_csv")
+# the records are named tuples and one class with slots, so no command loads dataclasses
+RECORDS = ("dataclasses",)
 NO_FIT = ("serpchurn.fitting", "serpchurn.oracle", "serpchurn.serp_io")
 NO_ANALYSIS = (*NO_FIT, "serpchurn.metrics", "serpchurn.render", "html.parser")
 NO_READS = ("serpchurn.metrics", "serpchurn.fitting", "serpchurn.render", "serpchurn.oracle")
@@ -101,7 +103,7 @@ def test_a_command_loads_only_what_it_runs(child_env, store, stream, serp_root, 
     assert code == 0, proc.stderr
     assert Path(package_file).resolve() == Path(serpchurn.__file__).resolve()
     # no command but a live scrape needs the HTTP client, not even a scrape of saved pages
-    assert sorted({*HTTP_CLIENT, *CSV_WRITER, *absent} & set(loaded)) == []
+    assert sorted({*HTTP_CLIENT, *CSV_WRITER, *RECORDS, *absent} & set(loaded)) == []
 
 
 def test_dir_lists_every_public_name():

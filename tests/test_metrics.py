@@ -1,7 +1,6 @@
 import csv
 import io
 import re
-from dataclasses import replace
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -234,7 +233,7 @@ class TestIntervalAveraging:
         store = store_of(snap(1, [("a", 1)]), snap(3, [("b", 1)]))
         with pytest.raises(InsufficientDataError, match=re.escape(f"no usable {shown}-day anchor pairs") + "$"):
             avg_interval_rate(store, days, RateKind.REPLACEMENT)
-        assert compute_rates(store, [days]) == replace(oracle_report(store, [days]), prob_seen={}, prob_seen_page={})
+        assert compute_rates(store, [days]) == oracle_report(store, [days])._replace(prob_seen={}, prob_seen_page={})
 
     @pytest.mark.parametrize("seed, pages", [(1, 5), (2, 3), (3, 5)])
     def test_each_kind_page_and_lag_matches_the_oracle(self, seed, pages):
@@ -245,7 +244,7 @@ class TestIntervalAveraging:
         # synth lists as many links every day, where both kinds read alike
         for d in sorted(store.snapshots)[::3]:
             kept = store.snapshots[d].results[: -(1 + d.day % 4)]
-            store.snapshots[d] = replace(store.snapshots[d], results=kept)
+            store.snapshots[d] = store.snapshots[d]._replace(results=kept)
         want = oracle_report(store, intervals=(1, 2, 7))
         for kind, cells in ((RateKind.REPLACEMENT, want.replacement), (RateKind.NEW_STORY, want.new_story)):
             for days in (1, 2, 7):
@@ -270,7 +269,7 @@ class TestIntervalAveraging:
         span = len(store.manifest.calendar)
         lags = sorted(lag for lag in ((1, 2, span - 1, span, span + 1)[i] for i in picks) if lag >= 1)
         want = oracle_report(store, intervals=lags)
-        assert compute_rates(store, lags) == replace(want, prob_seen={}, prob_seen_page={})
+        assert compute_rates(store, lags) == want._replace(prob_seen={}, prob_seen_page={})
 
     def test_no_lag_steps_past_the_calendar(self):
         store = generate(SynthParams(days=12, start=date(9999, 12, 20), seed=3))
@@ -621,8 +620,8 @@ class TestStorePath:
         prob, prob_page = refind_cells(timelines)
         report = compute_report(store)
         assert (report.prob_seen, report.prob_seen_page) == (prob, prob_page)
-        assert compute_refind(store) == replace(report, replacement={}, new_story={})
-        assert compute_rates(store) == replace(report, prob_seen={}, prob_seen_page={})
+        assert compute_refind(store) == report._replace(replacement={}, new_story={})
+        assert compute_rates(store) == report._replace(prob_seen={}, prob_seen_page={})
         counts = _tally(timelines)[1]
         try:
             assert [list(row) for row in transition_matrix(timelines).counts] == counts
@@ -638,10 +637,10 @@ class TestStorePath:
 
         want = counts()
 
-        def refuse(self):
+        def refuse(self, *fields):
             raise AssertionError("a timeline built from a checked store was checked again")
 
-        monkeypatch.setattr(StoryTimeline, "__post_init__", refuse)
+        monkeypatch.setattr(StoryTimeline, "__init__", refuse)
         assert counts() == want
         with pytest.raises(AssertionError):
             tl(1, 0)  # the public constructor still checks
@@ -722,7 +721,7 @@ class TestReport:
         interval, page (empty for all pages), value to the bit and n."""
         store = CollectionStore("topic", vertical)
         for day in raw:
-            store.ingest(replace(day, vertical=vertical))
+            store.ingest(day._replace(vertical=vertical))
         report = compute_report(store)
         want = {
             (metric, str(key), "" if page is None else str(page)): (cell.value.hex(), cell.n)

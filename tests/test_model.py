@@ -1,11 +1,14 @@
+import copy
 import json
+import pickle
 import re
 from datetime import date
 
 import pytest
 
-from serpchurn.errors import SerpParseError
+from serpchurn.errors import SerpParseError, ValidationError
 from serpchurn.fitting import RefindabilityModel
+from serpchurn.metrics import ChurnReport, ReportCell, TemporalMatrix, TransitionEstimate
 from serpchurn.model import (
     CollectionManifest,
     SerpResult,
@@ -17,6 +20,8 @@ from serpchurn.model import (
     snapshot_from_json,
     snapshot_to_json,
 )
+from serpchurn.serp_io import FetchPlan
+from serpchurn.synth import SynthParams
 
 from builders import from_observations
 
@@ -106,7 +111,8 @@ class TestValidation:
         row = from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t == row and hash(t) == hash(row)
         assert t.observations == (4, 2, None, 0)
-        assert t != StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 3}, frozenset({2}))
+        other = StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 3}, frozenset({2}))
+        assert t != other and hash(t) == hash(other)  # pages are left out of the hash
 
     def test_model_coefficient_ranges(self):
         RefindabilityModel(a=0.1, b=0.8, c=1.0, sse=0.0)
@@ -327,7 +333,7 @@ _MISSING = {
 
 
 class TestLoadBoundary:
-    """A document's links are checked as one batch, with the constructors' words."""
+    """Each of a document's links is checked once, by its constructor, in its words."""
 
     @staticmethod
     def _doc(links, query="q", drop=None):
@@ -382,14 +388,118 @@ class TestLoadBoundary:
 
     def test_a_clean_document_checks_no_link_twice(self, monkeypatch):
         text = self._doc([_link(), _link(uri="http://b.example/y", canonical_uri="b.example/y", page=2, rank=4)])
+        checked = []
+        new = SerpResult.__new__
 
-        def refuse(self):
-            raise AssertionError("a loaded link was checked one by one")
+        def count(cls, *fields):
+            checked.append(fields)
+            return new(cls, *fields)
 
-        monkeypatch.setattr(SerpResult, "__post_init__", refuse)
+        monkeypatch.setattr(SerpResult, "__new__", count)
         assert [(r.canonical_uri, r.page, r.rank) for r in snapshot_from_json(text).results] == [
             ("a.example/x", 1, 1),
             ("b.example/y", 2, 4),
         ]
-        with pytest.raises(AssertionError):
-            SerpResult("http://a.example/x", "a.example/x", "t", 1, 1)  # the constructor still checks
+        # each link goes through SerpResult's check exactly once
+        assert checked == [
+            ("http://a.example/x", "a.example/x", "t", 1, 1),
+            ("http://b.example/y", "b.example/y", "t", 2, 4),
+        ]
+
+
+_D1, _D3 = date(2024, 1, 1), date(2024, 1, 3)
+_A = SerpResult("u", "a.example/x", "A", 1, 1)
+_B = SerpResult("v", "b.example", "B", 3, 4)
+# one instance of each record, made by a function so that two calls give equal
+# records that are not the same object; the repr, the field an assignment
+# tries, and for a checked record a bad ``_replace`` and the error it raises
+_RECORDS = {
+    "SerpResult": (
+        lambda: SerpResult("http://a.example/x", "a.example/x", "A", 2, 3),
+        "SerpResult(uri='http://a.example/x', canonical_uri='a.example/x', title='A', page=2, rank=3)",
+        "page", {"page": 9}, ValueError("page must be in [1, 5], got 9"),
+    ),
+    "SerpSnapshot": (
+        lambda: SerpSnapshot("q", Vertical.NEWS, _D3, (_A, _B)),
+        "SerpSnapshot(query='q', vertical=<Vertical.NEWS: 'news'>, date=datetime.date(2024, 1, 3), "
+        "results=(SerpResult(uri='u', canonical_uri='a.example/x', title='A', page=1, rank=1), "
+        "SerpResult(uri='v', canonical_uri='b.example', title='B', page=3, rank=4)))",
+        "results", {"results": (_B, _A)}, ValueError("ranks must be strictly increasing, got 1 after 4"),
+    ),
+    "StoryTimeline": (
+        lambda: StoryTimeline("a.example/x", _D1, 4, {0: 2, 3: 1}, frozenset({1})),
+        "StoryTimeline(canonical_uri='a.example/x', first_seen=datetime.date(2024, 1, 1), length=4, "
+        "pages={0: 2, 3: 1}, unscraped=frozenset({1}))",
+        "pages", None, None,
+    ),
+    "CollectionManifest": (
+        lambda: CollectionManifest("q", Vertical.GENERAL, (_D1, _D3)),
+        "CollectionManifest(topic='q', vertical=<Vertical.GENERAL: 'general'>, "
+        "dates=(datetime.date(2024, 1, 1), datetime.date(2024, 1, 3)))",
+        "dates", None, None,
+    ),
+    "TransitionEstimate": (
+        lambda: TransitionEstimate(tuple(tuple(int(i == j) for j in range(6)) for i in range(6))),
+        "TransitionEstimate(counts=((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), "
+        "(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)))",
+        "counts", {"counts": ((1,),)}, ValidationError("counts must be 6x6"),
+    ),
+    "TemporalMatrix": (
+        lambda: TemporalMatrix(_D1, 4, frozenset({date(2024, 1, 2)}), (StoryTimeline("a.example/x", _D1, 4, {0: 2}),)),
+        "TemporalMatrix(start=datetime.date(2024, 1, 1), days=4, gaps=frozenset({datetime.date(2024, 1, 2)}), "
+        "timelines=(StoryTimeline(canonical_uri='a.example/x', first_seen=datetime.date(2024, 1, 1), length=4, "
+        "pages={0: 2}, unscraped=frozenset()),))",
+        "days", None, None,
+    ),
+    "ReportCell": (lambda: ReportCell(0.25, 4), "ReportCell(value=0.25, n=4)", "n", None, None),
+    "ChurnReport": (
+        lambda: ChurnReport(Vertical.NEWS, {(1, None): ReportCell(0.5, 2)}, {}, {0: ReportCell(1.0, 3)}, {}),
+        "ChurnReport(vertical=<Vertical.NEWS: 'news'>, replacement={(1, None): ReportCell(value=0.5, n=2)}, "
+        "new_story={}, prob_seen={0: ReportCell(value=1.0, n=3)}, prob_seen_page={})",
+        "vertical", None, None,
+    ),
+    "RefindabilityModel": (
+        lambda: RefindabilityModel(0.25, 0.5, 0.125, 0.001, clamped=True),
+        "RefindabilityModel(a=0.25, b=0.5, c=0.125, sse=0.001, degenerate=False, clamped=True)",
+        "c", {"a": 2}, ValueError("a must be in [0,1], got 2"),
+    ),
+    "FetchPlan": (
+        lambda: FetchPlan("hurricane harvey", pages=2, date_range=(_D1, _D3), politeness_delay=0.0),
+        "FetchPlan(query='hurricane harvey', vertical=<Vertical.GENERAL: 'general'>, pages=2, "
+        "date_range=(datetime.date(2024, 1, 1), datetime.date(2024, 1, 3)), politeness_delay=0.0, fixture_dir=None)",
+        "query", {"query": " "}, ValidationError("query must be non-empty"),
+    ),
+    "SynthParams": (
+        lambda: SynthParams(days=3, per_page=2, replacement_rate=0.5, seed=7, vertical=Vertical.NEWS),
+        "SynthParams(days=3, pages=5, per_page=2, replacement_rate=0.5, transition_kernel=None, seed=7, "
+        "topic='synthetic', vertical=<Vertical.NEWS: 'news'>, start=datetime.date(2024, 1, 1))",
+        "days", {"days": 0}, ValidationError("days must be >= 1, got 0"),
+    ),
+}
+
+
+class TestRecords:
+    """Every record keeps the repr, equality, hash, pickling, copying and
+    immutability it had as a frozen dataclass, and no way in skips its checks."""
+
+    @pytest.mark.parametrize("make, text, field, bad, error", _RECORDS.values(), ids=_RECORDS)
+    def test_a_record_behaves_as_it_did(self, make, text, field, bad, error):
+        record, twin = make(), make()
+        assert repr(record) == text
+        assert record == twin and record is not twin
+        if isinstance(record, ChurnReport):  # its fields are dicts
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin)
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(again) is type(record) and again == record
+        for name in (field, "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(twin, field))
+        assert record == twin
+        if bad is not None:  # _replace builds through _make, and both must check
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                record._replace(**bad)
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                type(record)._make({**record._asdict(), **bad}.values())

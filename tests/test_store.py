@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -295,7 +294,7 @@ def test_writers_parse_no_stored_snapshot(
 ):
     s07, s08 = harvey_snapshots
     root = tmp_path / "harvey"
-    earlier = [replace(s07, date=date(2017, 9, 5)), replace(s08, date=date(2017, 9, 6))]
+    earlier = [s07._replace(date=date(2017, 9, 5)), s08._replace(date=date(2017, 9, 6))]
     CollectionStore.from_snapshots(s07.query, s07.vertical, earlier, root=root)
 
     def refuse(text):
@@ -343,14 +342,21 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     assert _files(root) == before
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=["022", "077", "000"])
-def test_ingested_files_take_their_directorys_read_and_write_bits(tmp_path, capsys, umask):
+@pytest.mark.parametrize(
+    "umask, held",
+    [
+        *(pytest.param(umask, ("col", "col/snapshots"), id=f"{umask:03o}") for umask in (0o022, 0o077, 0o000)),
+        *(pytest.param(umask, ("col",), id=f"{umask:03o}-no-snapshots-yet") for umask in (0o022, 0o077, 0o000)),
+    ],
+)
+def test_ingested_files_take_their_directorys_read_and_write_bits(tmp_path, capsys, umask, held):
     """Every file ``ingest`` writes has its directory's read and write bits,
-    not the owner-only mode of a fresh temporary file, whatever the umask."""
+    not the owner-only mode of a fresh temporary file, and a ``snapshots/``
+    it makes has the store directory's bits, whatever the umask."""
     root = tmp_path / "col"
-    (root / "snapshots").mkdir(parents=True)
-    for directory in (root, root / "snapshots"):
-        directory.chmod(0o750)
+    for directory in held:
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory).chmod(0o750)
     docs = [_doc(tmp_path, snap(day, [("a", 1)])) for day in (1, 2)]
     old = os.umask(umask)
     try:
@@ -358,9 +364,9 @@ def test_ingested_files_take_their_directorys_read_and_write_bits(tmp_path, caps
     finally:
         os.umask(old)
     assert capsys.readouterr().err == "ingested 2 snapshot(s)\n"
-    written = [root / "collection.json", *sorted((root / "snapshots").iterdir())]
+    written = [root / "snapshots", root / "collection.json", *sorted((root / "snapshots").iterdir())]
     assert [(p.name, oct(p.stat().st_mode & 0o777)) for p in written] == [
-        ("collection.json", "0o640"), ("2024-01-01.json", "0o640"), ("2024-01-02.json", "0o640")
+        ("snapshots", "0o750"), ("collection.json", "0o640"), ("2024-01-01.json", "0o640"), ("2024-01-02.json", "0o640")
     ]
 
 
@@ -401,7 +407,7 @@ def test_concurrent_writers_keep_every_day(tmp_path, child_env):
     root = tmp_path / "col"
     days = [D(1) + timedelta(days=i) for i in range(40)]
     lanes = [
-        [_doc(tmp_path, replace(snap(1, [(f"s{i}", 1)]), date=days[i])) for i in range(lane, 40, 2)]
+        [_doc(tmp_path, snap(1, [(f"s{i}", 1)])._replace(date=days[i])) for i in range(lane, 40, 2)]
         for lane in (0, 1)
     ]
     children = [
@@ -491,7 +497,7 @@ def test_writers_refuse_another_collection(
     s07, _ = harvey_snapshots
     root = tmp_path / "harvey"
     topic, vertical = held
-    early = replace(s07, query=topic, vertical=vertical, date=date(2017, 9, 5))
+    early = s07._replace(query=topic, vertical=vertical, date=date(2017, 9, 5))
     CollectionStore.from_snapshots(topic, vertical, [early], root=root)
     before = _files(root)
     if writer == "synth":

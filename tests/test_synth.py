@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -184,8 +183,8 @@ def _gapped_store_with_a_repeat():
     del store.snapshots[date(2024, 1, 3)]
     del store.snapshots[date(2024, 1, 6)]
     snap = store.snapshots[date(2024, 1, 4)]
-    again = replace(snap.results[0], page=2, rank=len(snap.results) + 1)
-    store.snapshots[snap.date] = replace(snap, results=(*snap.results, again))
+    again = snap.results[0]._replace(page=2, rank=len(snap.results) + 1)
+    store.snapshots[snap.date] = snap._replace(results=(*snap.results, again))
     return store
 
 

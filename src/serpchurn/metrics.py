@@ -288,7 +288,7 @@ def temporal_matrix(
     ordered = tuple(sorted(timelines, key=lambda t: (t.first_seen, t.canonical_uri)))
     for t in ordered:
         offset = (t.first_seen - start).days
-        if offset < 0 or offset + len(t) > days:
+        if offset < 0 or offset + t.length > days:
             raise ValidationError(
                 f"timeline for {t.canonical_uri} falls outside the span"
             )

@@ -6,10 +6,9 @@ slashes removed, path kept case-sensitively. Everything downstream
 (timelines, churn metrics, model fitting) keys on that canonical form.
 
 All types here are immutable; every function is pure. The records are
-named tuples, except ``StoryTimeline``, a class with slots; a record
-with rules checks them in its constructor, and its ``_make`` and
-``_replace`` build through that constructor, as ``pickle`` and ``copy``
-do.
+named tuples; a record with rules checks them in its constructor, and
+its ``_make`` and ``_replace`` build through that constructor, as
+``pickle`` and ``copy`` do.
 """
 
 from __future__ import annotations
@@ -143,21 +142,25 @@ def dedup_snapshot(snapshot: SerpSnapshot) -> SerpSnapshot:
     return snapshot._replace(results=tuple(first.values()))
 
 
-class StoryTimeline:
+class StoryTimeline(Checked, namedtuple("StoryTimeline", "canonical_uri first_seen length pages unscraped")):
     """One story's page placements, by day offset from its first-seen day.
 
     ``pages`` maps each offset below ``length`` where the story sat on a
     page to that page (1-5), offset 0 included; ``unscraped`` holds the
     offsets with no snapshot. Every other offset is state 0: scraped, but
-    the story was outside pages 1-5. A class, not a named tuple, since its
-    ``len`` is ``length``; ``pages`` is read-only, and left out of the hash
+    the story was outside pages 1-5. ``pages`` is left out of the hash,
     since a dict cannot be hashed.
     """
 
-    __slots__ = ("canonical_uri", "first_seen", "length", "pages", "unscraped")
+    __slots__ = ()
 
-    def __init__(self, canonical_uri: str, first_seen: date, length: int, pages: dict[int, int],
-                 unscraped: frozenset[int] = frozenset()):
+    def __new__(cls, canonical_uri: str, first_seen: date, length: int, pages: dict[int, int],
+                unscraped: Iterable[int] = frozenset()):
+        unscraped = frozenset(unscraped)
+        offsets = unscraped.union(pages)
+        for n in (length, *offsets):
+            if type(n) is not int:  # not 2.0, nor True
+                raise ValueError(f"length and offsets must be ints, got {n!r}")
         if length < 1:
             raise ValueError("a timeline needs at least the first-seen observation")
         first = pages.get(0)
@@ -166,37 +169,15 @@ class StoryTimeline:
         for page in pages.values():  # 2.0 and True equal pages 2 and 1 but are no page
             if type(page) is not int or not 1 <= page <= PAGES_MAX:
                 raise ValueError(f"a page must be in [1,{PAGES_MAX}], got {page!r}")
-        offsets = unscraped.union(pages)
         if min(offsets) < 0 or max(offsets) >= length:
             raise ValueError(f"offsets must lie in [0, {length})")
         both = unscraped.intersection(pages)  # so offset 0 is never unscraped
         if both:
             raise ValueError(f"offsets {sorted(both)} are both pages and unscraped")
-        for name, value in zip(self.__slots__, (canonical_uri, first_seen, length, pages, unscraped)):
-            object.__setattr__(self, name, value)
-
-    def _astuple(self) -> tuple:
-        return self.canonical_uri, self.first_seen, self.length, self.pages, self.unscraped
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
+        return tuple.__new__(cls, (canonical_uri, first_seen, length, pages, unscraped))
 
     def __hash__(self) -> int:
         return hash((self.canonical_uri, self.first_seen, self.length, self.unscraped))
-
-    def __repr__(self) -> str:
-        return "StoryTimeline(canonical_uri=%r, first_seen=%r, length=%r, pages=%r, unscraped=%r)" % self._astuple()
-
-    def __reduce__(self):
-        return StoryTimeline, self._astuple()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def spell(self, row: list, at: int, cell: Callable[[int | None, int], object]) -> list:
         """``row``, spelling offset k as state 0 at ``row[at + k]``, with the pages and
@@ -212,19 +193,22 @@ class StoryTimeline:
         """The padded row (page, 0, or None for no scrape), built on each access."""
         return tuple(self.spell([0] * self.length, 0, lambda state, _: state))
 
-    def __len__(self) -> int:
-        return self.length
-
     def notation(self) -> str:
         """Compact observation-vector form, e.g. ``{4, 2, 0, 0}`` ('-' = no scrape)."""
         row = self.spell(["0"] * self.length, 0, lambda state, _: "-" if state is None else str(state))
         return "{%s}" % ", ".join(row)
 
 
-class CollectionManifest(namedtuple("CollectionManifest", "topic vertical dates", defaults=((),))):
+class CollectionManifest(Checked, namedtuple("CollectionManifest", "topic vertical dates")):
     """A collection's identity plus the sorted dates it holds; all else derives from them."""
 
     __slots__ = ()
+
+    def __new__(cls, topic: str, vertical: Vertical, dates: tuple[date, ...] = ()):
+        for before, after in zip(dates, dates[1:]):
+            if after <= before:
+                raise ValueError(f"dates must be strictly increasing, got {after} after {before}")
+        return tuple.__new__(cls, (topic, vertical, dates))
 
     @property
     def start_date(self) -> date | None:

@@ -74,7 +74,7 @@ def temporal_grid_lines(matrix: TemporalMatrix) -> Iterator[str]:
     ]
     for ri, t in enumerate(matrix.timelines):
         at = (t.first_seen - matrix.start).days + 1
-        row = lead[:at] + joints[0][at : at + len(t)] + joints[None][at + len(t) :]
+        row = lead[:at] + joints[0][at : at + t.length] + joints[None][at + t.length :]
         yield str(ri * cell).join(t.spell(row, at, lambda state, i: joints[state][i]))
     yield "</svg>\n"
 

@@ -39,23 +39,6 @@ from .model import (
 MANIFEST_NAME = "collection.json"
 SNAPSHOT_DIR = "snapshots"
 
-# The walk reads only checked snapshots, so it builds each timeline by
-# setting its slots, without StoryTimeline's checks.
-_SET_URI, _SET_FIRST, _SET_LENGTH, _SET_PAGES, _SET_UNSCRAPED = (
-    getattr(StoryTimeline, name).__set__ for name in StoryTimeline.__slots__
-)
-
-
-def _walked_timeline(uri: str, first_seen: date, length: int, pages: dict, unscraped: frozenset) -> StoryTimeline:
-    t = object.__new__(StoryTimeline)
-    _SET_URI(t, uri)
-    _SET_FIRST(t, first_seen)
-    _SET_LENGTH(t, length)
-    _SET_PAGES(t, pages)
-    _SET_UNSCRAPED(t, unscraped)
-    return t
-
-
 def _atomic_write(path: Path, data: str) -> None:
     """Replace ``path`` whole, through a temporary file no other writer uses."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
@@ -230,8 +213,10 @@ class CollectionStore:
                     story[1].setdefault(idx - story[0], r.page)
             stories.update(sorted(new.items()))
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
+        # the walk reads only checked snapshots, so it builds each timeline without StoryTimeline's checks
         return tuple(
-            _walked_timeline(uri, days[i], len(days) - i, pages, after[i]) for uri, (i, pages) in stories.items()
+            tuple.__new__(StoryTimeline, (uri, days[i], len(days) - i, pages, after[i]))
+            for uri, (i, pages) in stories.items()
         )
 
 

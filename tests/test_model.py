@@ -90,17 +90,26 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"got {first!r}$"):
                 from_observations("a.example/x", date(2024, 1, 1), (first, 1))
         t = from_observations("a.example/x", date(2024, 1, 1), (3, None, 0))
-        assert len(t) == 3
+        assert t.length == 3
 
     def test_timeline_observation_range(self):
         for bad in (-1, 6, 2.5, 2.0, True):  # a state that is not an int page is no page
             with pytest.raises(ValueError, match=f"got {bad!r}$"):
                 from_observations("a.example/x", date(2024, 1, 1), (1, 0, bad, None))
+        for bad in (2.5, 4.0, True):  # nor is a length that is not an int a day count
+            with pytest.raises(ValueError, match=f"^length and offsets must be ints, got {bad!r}$"):
+                StoryTimeline("a.example/x", date(2024, 1, 1), bad, {0: 1})
 
     @pytest.mark.parametrize(
         "pages, unscraped",
-        [({0: 1, 2: 3}, {2}), ({0: 1, 4: 2}, ()), ({0: 1, -1: 2}, ()), ({0: 1}, {0}), ({0: 1}, {4})],
-        ids=["page-and-unscraped", "page-past-end", "negative", "unscraped-day-0", "unscraped-past-end"],
+        [
+            ({0: 1, 2: 3}, {2}), ({0: 1, 4: 2}, ()), ({0: 1, -1: 2}, ()), ({0: 1}, {0}), ({0: 1}, {4}),
+            ({0: 1, 1.0: 2}, ()), ({0: 1, True: 2}, ()), ({0: 1}, {1.5}),
+        ],
+        ids=[
+            "page-and-unscraped", "page-past-end", "negative", "unscraped-day-0", "unscraped-past-end",
+            "page-offset-float", "page-offset-bool", "unscraped-offset-float",
+        ],
     )
     def test_timeline_offsets(self, pages, unscraped):
         with pytest.raises(ValueError):
@@ -111,6 +120,9 @@ class TestValidation:
         row = from_observations("a.example/x", date(2024, 1, 1), (4, 2, None, 0))
         assert t == row and hash(t) == hash(row)
         assert t.observations == (4, 2, None, 0)
+        for unscraped in ({2}, [2], iter([2])):  # any iterable of offsets is kept as a frozenset
+            same = StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 2}, unscraped)
+            assert type(same.unscraped) is frozenset and same == t and hash(same) == hash(t)
         other = StoryTimeline("a.example/x", date(2024, 1, 1), 4, {0: 4, 1: 3}, frozenset({2}))
         assert t != other and hash(t) == hash(other)  # pages are left out of the hash
 
@@ -430,13 +442,13 @@ _RECORDS = {
         lambda: StoryTimeline("a.example/x", _D1, 4, {0: 2, 3: 1}, frozenset({1})),
         "StoryTimeline(canonical_uri='a.example/x', first_seen=datetime.date(2024, 1, 1), length=4, "
         "pages={0: 2, 3: 1}, unscraped=frozenset({1}))",
-        "pages", None, None,
+        "pages", {"pages": {0: 9}}, ValueError("day-0 observation must be a page in [1,5], got 9"),
     ),
     "CollectionManifest": (
         lambda: CollectionManifest("q", Vertical.GENERAL, (_D1, _D3)),
         "CollectionManifest(topic='q', vertical=<Vertical.GENERAL: 'general'>, "
         "dates=(datetime.date(2024, 1, 1), datetime.date(2024, 1, 3)))",
-        "dates", None, None,
+        "dates", {"dates": (_D3, _D1)}, ValueError("dates must be strictly increasing, got 2024-01-01 after 2024-01-03"),
     ),
     "TransitionEstimate": (
         lambda: TransitionEstimate(tuple(tuple(int(i == j) for j in range(6)) for i in range(6))),

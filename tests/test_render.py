@@ -153,7 +153,7 @@ def reference_grid_lines(matrix):
     )
     for ri, t in enumerate(matrix.timelines):
         offset = (t.first_seen - matrix.start).days
-        row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - len(t))
+        row = lead[:offset] + t.observations + (None,) * (matrix.days - offset - t.length)
         y = str(ri * cell)
         yield "".join([head + y + tails[state] for head, state in zip(heads, row)])
     yield "</svg>\n"

@@ -17,7 +17,6 @@ _HOMES = {
     "CollectionStore": "store",
     "ChurnReport": "metrics",
     "FetchPlan": "serp_io",
-    "FitConvergenceError": "errors",
     "FixtureNotFound": "errors",
     "InsufficientDataError": "errors",
     "RateLimited": "errors",

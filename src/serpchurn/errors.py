@@ -72,10 +72,6 @@ class UnderdeterminedFitError(InsufficientDataError):
     """Too few points to fit the three-parameter decay model."""
 
 
-class FitConvergenceError(SerpChurnError):
-    """The fit's error went non-finite."""
-
-
 class ValidationError(SerpChurnError):
     """Invalid input: a flag value, date, interval, fetch plan or kernel (say, not
     stochastic)."""

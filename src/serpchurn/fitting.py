@@ -5,7 +5,7 @@ is a linear least-squares solve: the 2x2 normal equations of the design
 [1, e^(-c*k)], summed with ``math.fsum``. The fit scans a coarse grid
 over c, solves (a, b) at each step, then refines the best c by
 golden-section search. No iterative nonlinear solver, no starting-point
-sensitivity: the same points always produce the same coefficients.
+sensitivity: the same points, in any order, give the same coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from datetime import date
 from operator import mul
 from typing import Sequence
 
-from .errors import FitConvergenceError, UnderdeterminedFitError
+from .errors import UnderdeterminedFitError
 from .model import Checked, StoryTimeline, Vertical
 from .metrics import refind_cells
 
@@ -44,6 +44,8 @@ class RefindabilityModel(Checked, namedtuple("RefindabilityModel", "a b c sse de
     def __new__(cls, a: float, b: float, c: float, sse: float, degenerate: bool = False, clamped: bool = False):
         """``degenerate``: c is unidentifiable (b == 0); ``clamped``: the
         parameters were pulled back into their valid ranges."""
+        if not (math.isfinite(c) and math.isfinite(sse)):  # NaN fails every comparison below
+            raise ValueError(f"c and sse must be finite, got {c} and {sse}")
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a must be in [0,1], got {a}")
         if not 0.0 <= b <= 1.0:
@@ -135,10 +137,9 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
         raise UnderdeterminedFitError(
             f"need at least {MIN_POINTS} points, got {len(points)}"
         )
-    pts = sorted((float(k), float(p)) for k, p in points)
-    ks = [k for k, _ in pts]
-    ps = [p for _, p in pts]
-    if len(set(ks)) != len(pts):
+    ks = [float(k) for k, _ in points]
+    ps = [float(p) for _, p in points]
+    if len(set(ks)) != len(ks):
         raise ValueError("day offsets must be distinct")
     if any(k < 0 for k in ks):
         raise ValueError("day offsets must be >= 0")
@@ -150,8 +151,6 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     step = (_GRID_HI - _GRID_LO) / (_GRID_STEPS - 1)
     grid = [_GRID_LO + i * step for i in range(_GRID_STEPS - 1)] + [_GRID_HI]
     sses = [_solve_ab(c, ks, ps)[2] for c in grid]
-    if not all(math.isfinite(f) for f in sses):
-        raise FitConvergenceError("least-squares scan produced non-finite error")
     i = sses.index(min(sses))  # ties resolve to the smallest c
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -172,8 +171,6 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     if a + b > 1.0:
         b, clamped = 1.0 - a, True
     sse = _sse(a, b, _decay(c, ks), ps)
-    if not math.isfinite(sse):
-        raise FitConvergenceError("refinement produced non-finite error")
     return RefindabilityModel(a=a, b=b, c=c, sse=sse, degenerate=degenerate, clamped=clamped)
 
 
@@ -205,15 +202,5 @@ def model_doc(
     ``fitted_at`` is the newest snapshot date behind the fit, so the
     document is identical across reruns over the same collection.
     """
-    doc = {
-        "vertical": vertical.value,
-        "a": model.a,
-        "b": model.b,
-        "c": model.c,
-        "sse": model.sse,
-        "degenerate": model.degenerate,
-        "clamped": model.clamped,
-        "n_points": n_points,
-        "fitted_at": fitted_at.isoformat(),
-    }
+    doc = {"vertical": vertical.value, **model._asdict(), "n_points": n_points, "fitted_at": fitted_at.isoformat()}
     return json.dumps(doc, indent=2) + "\n"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InsufficientDataError, UndefinedRateError, ValidationError
-from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, Checked, StoryTimeline, Vertical
+from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, Checked, StoryTimeline
 from .store import CollectionStore
 
 # -- pairwise set rates ------------------------------------------------

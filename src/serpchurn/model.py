@@ -33,6 +33,7 @@ INTERVAL_NAMES = {"daily": 1, "weekly": 7, "monthly": 30}  # the paper's lags in
 
 # Ports that never change resource identity once the scheme is gone.
 _DEFAULT_PORTS = (80, 443)
+_DATE = date  # SerpSnapshot's field ``date`` hides the class in its constructor
 
 
 class Vertical(Enum):
@@ -121,9 +122,13 @@ class SerpSnapshot(Checked, namedtuple("SerpSnapshot", "query vertical date resu
     def __new__(cls, query: str, vertical: Vertical, date: date, results: Iterable[SerpResult]):
         if not isinstance(query, str):
             raise ValueError(f"query must be a string, got {query!r}")
+        if not isinstance(vertical, Vertical) or type(date) is not _DATE:  # not a datetime
+            raise ValueError(f"vertical must be a Vertical and date a date, got {vertical!r} and {date!r}")
         results = tuple(results)
         last_rank = 0
         for r in results:
+            if not isinstance(r, SerpResult):
+                raise ValueError(f"results must be SerpResults, got {r!r}")
             if r.rank <= last_rank:
                 raise ValueError(f"ranks must be strictly increasing, got {r.rank} after {last_rank}")
             last_rank = r.rank
@@ -156,6 +161,9 @@ class StoryTimeline(Checked, namedtuple("StoryTimeline", "canonical_uri first_se
 
     def __new__(cls, canonical_uri: str, first_seen: date, length: int, pages: dict[int, int],
                 unscraped: Iterable[int] = frozenset()):
+        if not isinstance(canonical_uri, str) or type(first_seen) is not date:  # not a datetime
+            raise ValueError(f"canonical_uri must be a string and first_seen a date, "
+                             f"got {canonical_uri!r} and {first_seen!r}")
         unscraped = frozenset(unscraped)
         offsets = unscraped.union(pages)
         for n in (length, *offsets):
@@ -205,6 +213,11 @@ class CollectionManifest(Checked, namedtuple("CollectionManifest", "topic vertic
     __slots__ = ()
 
     def __new__(cls, topic: str, vertical: Vertical, dates: tuple[date, ...] = ()):
+        if not isinstance(topic, str) or not isinstance(vertical, Vertical):
+            raise ValueError(f"topic must be a string and vertical a Vertical, got {topic!r} and {vertical!r}")
+        for day in dates:
+            if type(day) is not date:  # not a datetime
+                raise ValueError(f"dates must be dates, got {day!r}")
         for before, after in zip(dates, dates[1:]):
             if after <= before:
                 raise ValueError(f"dates must be strictly increasing, got {after} after {before}")

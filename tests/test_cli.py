@@ -88,7 +88,6 @@ EXIT_CODES = [
     (errors.InsufficientDataError("m"), 4, "insufficient-data"),
     (errors.UndefinedRateError("m"), 4, "insufficient-data"),
     (errors.UnderdeterminedFitError("m"), 4, "insufficient-data"),
-    (errors.FitConvergenceError("m"), 1, "internal"),
     (errors.ValidationError("m"), 2, "validation"),
     (errors.OracleScaleError("m"), 1, "internal"),
     (errors.SerpChurnError("m"), 1, "internal"),

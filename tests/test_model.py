@@ -2,7 +2,7 @@ import copy
 import json
 import pickle
 import re
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
@@ -41,6 +41,62 @@ def _snapshot(results):
         query="q", vertical=Vertical.GENERAL, date=date(2024, 1, 1), results=results
     )
 
+
+_DAY, _NOON = date(2024, 1, 1), datetime(2024, 1, 1, 12)
+_NAN, _INF = float("nan"), float("inf")
+# a record built from a field of the wrong type or a non-finite number, and the
+# message that refuses it, naming the field and the value
+_WRONG = {
+    "timeline-uri": (
+        lambda: StoryTimeline(7, _DAY, 2, {0: 1}),
+        f"canonical_uri must be a string and first_seen a date, got 7 and {_DAY!r}",
+    ),
+    "timeline-first-seen": (
+        lambda: StoryTimeline("a.example/x", "2024-01-01", 2, {0: 1}),
+        "canonical_uri must be a string and first_seen a date, got 'a.example/x' and '2024-01-01'",
+    ),
+    "timeline-datetime": (
+        lambda: StoryTimeline("a.example/x", _NOON, 2, {0: 1}),
+        f"canonical_uri must be a string and first_seen a date, got 'a.example/x' and {_NOON!r}",
+    ),
+    "manifest-topic": (
+        lambda: CollectionManifest(5, Vertical.GENERAL),
+        "topic must be a string and vertical a Vertical, got 5 and <Vertical.GENERAL: 'general'>",
+    ),
+    "manifest-vertical": (
+        lambda: CollectionManifest("t", "general"),
+        "topic must be a string and vertical a Vertical, got 't' and 'general'",
+    ),
+    "manifest-dates": (
+        lambda: CollectionManifest("t", Vertical.GENERAL, ("2024-01-01", "2024-01-03")),
+        "dates must be dates, got '2024-01-01'",
+    ),
+    "manifest-datetime": (
+        lambda: CollectionManifest("t", Vertical.GENERAL, (_NOON,)), f"dates must be dates, got {_NOON!r}"
+    ),
+    "snapshot-vertical": (
+        lambda: SerpSnapshot("q", "general", _DAY, ()),
+        f"vertical must be a Vertical and date a date, got 'general' and {_DAY!r}",
+    ),
+    "snapshot-date": (
+        lambda: SerpSnapshot("q", Vertical.NEWS, "2024-01-01", ()),
+        "vertical must be a Vertical and date a date, got <Vertical.NEWS: 'news'> and '2024-01-01'",
+    ),
+    "snapshot-datetime": (
+        lambda: SerpSnapshot("q", Vertical.NEWS, _NOON, ()),
+        f"vertical must be a Vertical and date a date, got <Vertical.NEWS: 'news'> and {_NOON!r}",
+    ),
+    "snapshot-tuple-result": (
+        lambda: SerpSnapshot("q", Vertical.NEWS, _DAY, (("u", "a.example/x", "t", 1, 1),)),
+        "results must be SerpResults, got ('u', 'a.example/x', 't', 1, 1)",
+    ),
+    "model-nan-c": (lambda: RefindabilityModel(0.1, 0.2, _NAN, 0.1), "c and sse must be finite, got nan and 0.1"),
+    "model-nan-sse": (lambda: RefindabilityModel(0.1, 0.2, 1.0, _NAN), "c and sse must be finite, got 1.0 and nan"),
+    "model-inf": (lambda: RefindabilityModel(0.1, 0.2, _INF, _INF), "c and sse must be finite, got inf and inf"),
+    "model-negative-inf": (
+        lambda: RefindabilityModel(0.1, 0.2, -_INF, -0.1), "c and sse must be finite, got -inf and -0.1"
+    ),
+}
 
 _LINK_DOC = (
     '{"query": "q", "vertical": "general", "date": "2024-01-01", "links": [{"uri": "http://a.example/x", '
@@ -138,6 +194,11 @@ class TestValidation:
             RefindabilityModel(a=0.0, b=1.5, c=1.0, sse=0.0)
         with pytest.raises(ValueError, match="^sse must be >= 0, got -0.1$"):
             RefindabilityModel(a=0.1, b=0.5, c=1.0, sse=-0.1)
+
+    @pytest.mark.parametrize("make, message", _WRONG.values(), ids=_WRONG)
+    def test_a_field_of_the_wrong_type_or_not_finite_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_vertical_wire_names(self):
         assert Vertical("general") is Vertical.GENERAL

@@ -76,7 +76,3 @@ class ValidationError(SerpChurnError):
     """Invalid input: a flag value, date, interval, fetch plan or kernel (say, not
     stochastic)."""
     exit_code, tag = 2, "validation"
-
-
-class OracleScaleError(SerpChurnError):
-    """The brute-force oracle refuses inputs beyond desk scale."""

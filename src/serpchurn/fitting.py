@@ -44,6 +44,11 @@ class RefindabilityModel(Checked, namedtuple("RefindabilityModel", "a b c sse de
     def __new__(cls, a: float, b: float, c: float, sse: float, degenerate: bool = False, clamped: bool = False):
         """``degenerate``: c is unidentifiable (b == 0); ``clamped``: the
         parameters were pulled back into their valid ranges."""
+        for name, value in (("a", a), ("b", b), ("c", c), ("sse", sse)):
+            if type(value) not in (int, float):  # not True, nor "0.1"
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if type(degenerate) is not bool or type(clamped) is not bool:
+            raise ValueError(f"degenerate and clamped must be bools, got {degenerate!r} and {clamped!r}")
         if not (math.isfinite(c) and math.isfinite(sse)):  # NaN fails every comparison below
             raise ValueError(f"c and sse must be finite, got {c} and {sse}")
         if not 0.0 <= a <= 1.0:

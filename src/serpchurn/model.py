@@ -164,6 +164,8 @@ class StoryTimeline(Checked, namedtuple("StoryTimeline", "canonical_uri first_se
         if not isinstance(canonical_uri, str) or type(first_seen) is not date:  # not a datetime
             raise ValueError(f"canonical_uri must be a string and first_seen a date, "
                              f"got {canonical_uri!r} and {first_seen!r}")
+        if not isinstance(pages, dict):
+            raise ValueError(f"pages must be a dict, got {pages!r}")
         unscraped = frozenset(unscraped)
         offsets = unscraped.union(pages)
         for n in (length, *offsets):
@@ -212,9 +214,10 @@ class CollectionManifest(Checked, namedtuple("CollectionManifest", "topic vertic
 
     __slots__ = ()
 
-    def __new__(cls, topic: str, vertical: Vertical, dates: tuple[date, ...] = ()):
+    def __new__(cls, topic: str, vertical: Vertical, dates: Iterable[date] = ()):
         if not isinstance(topic, str) or not isinstance(vertical, Vertical):
             raise ValueError(f"topic must be a string and vertical a Vertical, got {topic!r} and {vertical!r}")
+        dates = tuple(dates)
         for day in dates:
             if type(day) is not date:  # not a datetime
                 raise ValueError(f"dates must be dates, got {day!r}")

@@ -1,4 +1,4 @@
-"""Brute-force reference computation for desk-scale collections.
+"""Brute-force reference computation for collections of any size.
 
 Everything here is recomputed straight from raw snapshots with plain
 set scans: no timelines, no incremental state. From the metrics module it
@@ -8,8 +8,12 @@ story sets and nothing else (C1 pins them on worked examples). The fast
 path calls neither definition: it counts story timelines in one pass. So
 agreement still checks its counting against the definitions themselves.
 That makes this slow and simple, which is the point: the fast pipeline is
-correct exactly when it agrees with this one. A scale guard keeps it
-honest about its cost.
+correct exactly when it agrees with this one.
+
+Its cost is plain too: the report pairs every two scraped days at each
+lag and reads every story on every day, and the counts step each story
+day by day from its first sighting. On the 1095-day store of ``synth
+--rate 0.35 --seed 5`` the two take about 4 s and 8 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -18,19 +22,15 @@ from datetime import date, timedelta
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InsufficientDataError, OracleScaleError
+from .errors import InsufficientDataError
 from .metrics import DEFAULT_INTERVALS, ChurnReport, ReportCell, new_story_rate, replacement_rate
 from .model import N_STATES, PAGES_MAX
 from .store import CollectionStore
 
-MAX_STORIES = 200
-MAX_SPAN_DAYS = 60
-
 
 def _placements(store: CollectionStore) -> dict[date, dict[str, int]]:
     """Each scraped day, in date order, to its stories, each at the page of
-    its first placement that day in rank order. Refuses an empty store, and
-    one beyond desk scale."""
+    its first placement that day in rank order. Refuses an empty store."""
     if not store.snapshots:
         raise InsufficientDataError("store holds no snapshots")
     table: dict[date, dict[str, int]] = {}
@@ -38,12 +38,6 @@ def _placements(store: CollectionStore) -> dict[date, dict[str, int]]:
         table[day] = placed = {}
         for r in store.snapshots[day].results:
             placed.setdefault(r.canonical_uri, r.page)
-    stories = len(set().union(*table.values()))
-    if stories > MAX_STORIES:
-        raise OracleScaleError(f"{stories} stories exceed the oracle limit of {MAX_STORIES}")
-    span = (max(table) - min(table)).days + 1
-    if span > MAX_SPAN_DAYS:
-        raise OracleScaleError(f"{span}-day span exceeds the oracle limit of {MAX_SPAN_DAYS}")
     return table
 
 

@@ -89,7 +89,6 @@ EXIT_CODES = [
     (errors.UndefinedRateError("m"), 4, "insufficient-data"),
     (errors.UnderdeterminedFitError("m"), 4, "insufficient-data"),
     (errors.ValidationError("m"), 2, "validation"),
-    (errors.OracleScaleError("m"), 1, "internal"),
     (errors.SerpChurnError("m"), 1, "internal"),
 ]
 

@@ -108,6 +108,16 @@ def test_far_offsets(points, want):
     assert m.clamped and not m.degenerate
 
 
+def test_a_tie_across_the_grid_goes_to_the_smallest_c():
+    """Past k = 1e5 every e^(-c*k) on the grid underflows to zero, so each
+    grid step fits the same design [1, 0, 0, 0] with the same SSE; the fit
+    refines between the first two steps, not the last two."""
+    m = fit_exponential([(0, 1.0), (1e5, 0.2), (2e5, 0.2), (3e5, 0.2)])
+    assert [m.a, m.b] == pytest.approx([0.2, 0.8], rel=0, abs=1e-12)
+    assert 0.01 <= m.c <= 0.02
+    assert not m.clamped and not m.degenerate
+
+
 def test_too_few_points():
     with pytest.raises(UnderdeterminedFitError):
         fit_exponential(curve(0.1, 0.8, 1.0, n=3))

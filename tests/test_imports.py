@@ -119,7 +119,6 @@ TEST_ONLY = [
     ("metrics", "prob_seen_on_page"),
     ("oracle", "oracle_report"),
     ("oracle", "oracle_transition_counts"),
-    ("errors", "OracleScaleError"),
 ]
 
 

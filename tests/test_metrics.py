@@ -65,20 +65,24 @@ _ALIASES = ("https://{}.example/s", "HTTP://{}.EXAMPLE/s/?utm_source=x", "{}.exa
 
 
 @st.composite
-def messy_days(draw, span=9):
-    """Raw snapshots of some of ``span`` days, gaps and empty days included,
-    whose links repeat a story in three alias spellings at any pages and in
+def messy_days(draw, span=9, dense=False, links=12):
+    """Raw snapshots of some of ``span`` days (if ``dense``, of every day but
+    some interior gaps), gaps and empty days included, each of up to ``links``
+    links that repeat a story in three alias spellings at any pages and in
     any order."""
     link = st.tuples(st.sampled_from("abcdef"), st.sampled_from(_ALIASES), st.integers(1, 5))
-    days = draw(st.sets(st.integers(1, span), min_size=1), label="days")
+    if dense:
+        days = set(range(1, span + 1)) - draw(st.sets(st.integers(2, span - 1)), label="gaps")
+    else:
+        days = draw(st.sets(st.integers(1, span), min_size=1), label="days")
     return [
         SerpSnapshot(
             query="topic",
             vertical=Vertical.GENERAL,
-            date=D(day),
+            date=D(1) + timedelta(days=day - 1),
             results=results_from_links(
                 (alias.format(h), f"Story {h}", page)
-                for h, alias, page in draw(st.lists(link, max_size=12), label=f"day {day}")
+                for h, alias, page in draw(st.lists(link, max_size=links), label=f"day {day}")
             ),
         )
         for day in sorted(days)
@@ -223,6 +227,11 @@ class TestIntervalAveraging:
             avg_interval_rate(store, -(10**5000), RateKind.REPLACEMENT)
         with pytest.raises(ValidationError, match=r"got -\(5001 digits\)$"):
             compute_rates(store, [-(10**5000)])
+
+    def test_a_count_past_the_digit_limit_is_as_long_as_the_longest_calendar(self):
+        # past int()'s 4,300-digit limit; no store can span more days than date.min to date.max
+        n = _interval_days("9" * 5000)
+        assert date.min + timedelta(days=n - 1) == date.max
 
     @pytest.mark.parametrize(
         "days, shown",
@@ -744,3 +753,43 @@ class TestReport:
         assert lines[0] == "metric,vertical,interval,page,value,n"
         assert all(line.count(",") == 5 for line in lines)
         assert lines[1].startswith("replacement_rate,general,1,,")
+
+
+class TestRelations:
+    """Two relations that follow from the paper's definitions, so they judge
+    stores of any length without a second implementation. The stores span 45
+    days, so the monthly lag can have pairs."""
+
+    LAGS = (1, 2, 7, 30, 44, 45)  # 44 pairs the first day with the last; 45 has no pair
+
+    @settings(max_examples=100, deadline=None)
+    @given(messy_days(span=45, dense=True, links=5))
+    def test_reversing_time_swaps_the_two_rates(self, raw):
+        """Dated first + last - d, day d's snapshot turns each pair (d, d + lag)
+        into (d' - lag, d'), whose later set was the earlier one: every
+        replacement cell becomes the new-story cell, value and n, and back."""
+        first, last = raw[0].date, raw[-1].date
+        backwards = [day._replace(date=first + (last - day.date)) for day in reversed(raw)]
+        forward, reverse = (compute_rates(store_of(*days), self.LAGS) for days in (raw, backwards))
+        assert forward.replacement == reverse.new_story
+        assert forward.new_story == reverse.replacement
+
+    @settings(max_examples=100, deadline=None)
+    @given(messy_days(span=45, dense=True, links=5))
+    def test_swapping_two_pages_permutes_every_count(self, raw):
+        """With pages 2 and 4 swapped in every link, each page's rate cells,
+        refind cells and transition counts move to the other page, and the
+        all-pages cells and P(seen) stay as they were."""
+        def swap(page):
+            return {2: 4, 4: 2}.get(page, page)
+
+        swapped = [day._replace(results=[r._replace(page=swap(r.page)) for r in day.results]) for day in raw]
+        stores = store_of(*raw), store_of(*swapped)
+        rates, moved = (compute_rates(store, self.LAGS) for store in stores)
+        for cells, moved_cells in ((rates.replacement, moved.replacement), (rates.new_story, moved.new_story)):
+            assert moved_cells == {(lag, page and swap(page)): cell for (lag, page), cell in cells.items()}
+        (prob, prob_page), (moved_prob, moved_prob_page) = (refind_cells(s.build_timelines()) for s in stores)
+        assert moved_prob == prob
+        assert moved_prob_page == {(k, swap(m)): cell for (k, m), cell in prob_page.items()}
+        counts, moved_counts = (_tally(s.build_timelines())[1] for s in stores)
+        assert moved_counts == [[counts[swap(i)][swap(j)] for j in range(6)] for i in range(6)]

@@ -59,6 +59,10 @@ _WRONG = {
         lambda: StoryTimeline("a.example/x", _NOON, 2, {0: 1}),
         f"canonical_uri must be a string and first_seen a date, got 'a.example/x' and {_NOON!r}",
     ),
+    "timeline-pages-list": (
+        lambda: StoryTimeline("a.example/x", _DAY, 2, [1, 2]),
+        "pages must be a dict, got [1, 2]",
+    ),
     "manifest-topic": (
         lambda: CollectionManifest(5, Vertical.GENERAL),
         "topic must be a string and vertical a Vertical, got 5 and <Vertical.GENERAL: 'general'>",
@@ -95,6 +99,11 @@ _WRONG = {
     "model-inf": (lambda: RefindabilityModel(0.1, 0.2, _INF, _INF), "c and sse must be finite, got inf and inf"),
     "model-negative-inf": (
         lambda: RefindabilityModel(0.1, 0.2, -_INF, -0.1), "c and sse must be finite, got -inf and -0.1"
+    ),
+    "model-text-coefficient": (lambda: RefindabilityModel("0.1", 0.2, 1.0, 0.1), "a must be a number, got '0.1'"),
+    "model-text-flag": (
+        lambda: RefindabilityModel(0.1, 0.2, 1.0, 0.1, degenerate="no", clamped=None),
+        "degenerate and clamped must be bools, got 'no' and None",
     ),
 }
 
@@ -236,7 +245,8 @@ class TestManifest:
 
     def test_manifests_with_equal_dates_are_equal(self):
         dates = (date(2024, 1, 1), date(2024, 1, 3))
-        a, b = (CollectionManifest("t", Vertical.NEWS, dates) for _ in range(2))
+        a, b = CollectionManifest("t", Vertical.NEWS, dates), CollectionManifest("t", Vertical.NEWS, list(dates))
+        assert type(b.dates) is tuple  # as a list, the dates could not be hashed
         assert a == b and hash(a) == hash(b)
         assert a != CollectionManifest("t", Vertical.NEWS, dates[:1])
 

@@ -32,8 +32,6 @@ _HOMES = {
     "SynthParams": "synth",
     "TransitionEstimate": "metrics",
     "TransportError": "errors",
-    "UnderdeterminedFitError": "errors",
-    "UndefinedRateError": "errors",
     "UriParseError": "errors",
     "ValidationError": "errors",
     "Vertical": "model",

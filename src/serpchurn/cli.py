@@ -52,7 +52,6 @@ from .store import (
 if TYPE_CHECKING:
     from .fitting import RefindabilityModel
     from .metrics import ChurnReport
-    from .synth import Kernel
 
 STORE_ENV = "SERPCHURN_STORE"
 
@@ -284,14 +283,10 @@ def _cmd_report(args) -> str | Iterable[str]:
     return render_fit_curve([(float(k), p) for k, p in points], model)
 
 
-def _read_kernel(path: str) -> Kernel:
+def _read_kernel(path: str):  # SynthParams judges the value as a kernel
     try:
-        rows = [list(row) for row in json.loads(Path(path).read_text(encoding="utf-8"))]
-        bad = [x for row in rows for x in row if type(x) not in (int, float)]  # true, "1", null
-        if bad:
-            raise TypeError(f"{bad[0]!r} is not a number")
-        return tuple(tuple(map(float, row)) for row in rows)
-    except (TypeError, ValueError, OverflowError, RecursionError) as e:
+        return json.loads(Path(path).read_text(encoding="utf-8")) or ()  # null is no kernel
+    except (ValueError, RecursionError) as e:
         raise ValidationError(f"kernel file {path} is not a matrix of numbers: {e}") from None
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Each class carries the CLI's exit code and ``error: <tag>:``, which its
-subclasses inherit; library callers can catch ``SerpChurnError`` for
-anything this package raises on purpose.
+Each class sets its own CLI exit code and ``error: <tag>:``; library
+callers can catch ``SerpChurnError`` for anything this package raises on
+purpose.
 """
 
 from __future__ import annotations
@@ -60,16 +60,9 @@ class StoreMismatchError(SerpChurnError):
 
 
 class InsufficientDataError(SerpChurnError):
-    """An operation has no data to work with (empty store, no anchor pairs, ...)."""
+    """An operation has no data to work with: an empty store, no anchor pairs,
+    an empty set that defines a rate, or too few points for the decay fit."""
     exit_code, tag = 4, "insufficient-data"
-
-
-class UndefinedRateError(InsufficientDataError):
-    """A rate's denominator set is empty, so the rate is undefined."""
-
-
-class UnderdeterminedFitError(InsufficientDataError):
-    """Too few points to fit the three-parameter decay model."""
 
 
 class ValidationError(SerpChurnError):

@@ -17,7 +17,7 @@ from datetime import date
 from operator import mul
 from typing import Sequence
 
-from .errors import UnderdeterminedFitError
+from .errors import InsufficientDataError
 from .model import Checked, StoryTimeline, Vertical
 from .metrics import refind_cells
 
@@ -139,9 +139,7 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     pulled back into [0, 1] (and a + b <= 1) with the clamped flag set.
     """
     if len(points) < MIN_POINTS:
-        raise UnderdeterminedFitError(
-            f"need at least {MIN_POINTS} points, got {len(points)}"
-        )
+        raise InsufficientDataError(f"need at least {MIN_POINTS} points, got {len(points)}")
     ks = [float(k) for k, _ in points]
     ps = [float(p) for _, p in points]
     if len(set(ks)) != len(ks):

@@ -20,7 +20,7 @@ from itertools import product
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .errors import InsufficientDataError, UndefinedRateError, ValidationError
+from .errors import InsufficientDataError, ValidationError
 from .model import INTERVAL_NAMES, N_STATES, PAGES_MAX, Checked, StoryTimeline
 from .store import CollectionStore
 
@@ -30,28 +30,28 @@ from .store import CollectionStore
 def replacement_rate(u0: AbstractSet[str], u1: AbstractSet[str]) -> Fraction:
     """Share of the earlier set that is gone from the later one."""
     if not u0:
-        raise UndefinedRateError("replacement rate needs a non-empty earlier set")
+        raise InsufficientDataError("replacement rate needs a non-empty earlier set")
     return Fraction(len(set(u0) - set(u1)), len(u0))
 
 
 def new_story_rate(u0: AbstractSet[str], u1: AbstractSet[str]) -> Fraction:
     """Share of the later set that was absent from the earlier one."""
     if not u1:
-        raise UndefinedRateError("new story rate needs a non-empty later set")
+        raise InsufficientDataError("new story rate needs a non-empty later set")
     return Fraction(len(set(u1) - set(u0)), len(u1))
 
 
 def overlap(a: AbstractSet[str], b: AbstractSet[str]) -> Fraction:
     """Overlap coefficient: intersection over the smaller set."""
     if not a or not b:
-        raise UndefinedRateError("overlap needs two non-empty sets")
+        raise InsufficientDataError("overlap needs two non-empty sets")
     return Fraction(len(set(a) & set(b)), min(len(a), len(b)))
 
 
 def recall(a: AbstractSet[str], b: AbstractSet[str]) -> Fraction:
     """Share of ``a`` that also appears in ``b``."""
     if not a:
-        raise UndefinedRateError("recall needs a non-empty reference set")
+        raise InsufficientDataError("recall needs a non-empty reference set")
     return Fraction(len(set(a) & set(b)), len(a))
 
 

@@ -11,6 +11,7 @@ links out of the markup and unwraps redirect-style hrefs.
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from collections import namedtuple
@@ -42,16 +43,27 @@ class FetchPlan(Checked, namedtuple("FetchPlan", "query vertical pages date_rang
     def __new__(cls, query: str, vertical: Vertical = Vertical.GENERAL, pages: int = PAGES_MAX,
                 date_range: tuple[date, date] | None = None, politeness_delay: float = DEFAULT_DELAY,
                 fixture_dir: Path | None = None):
+        if not isinstance(query, str) or not isinstance(vertical, Vertical):
+            raise ValidationError(f"query must be a string and vertical a Vertical, got {query!r} and {vertical!r}")
         if not query.strip():
             raise ValidationError("query must be non-empty")
+        if type(pages) is not int:  # not 2.0, nor True
+            raise ValidationError(f"pages must be an int, got {pages!r}")
         if not 1 <= pages <= PAGES_MAX:
             raise ValidationError(f"pages must be in [1,{PAGES_MAX}], got {pages}")
+        if type(politeness_delay) not in (int, float):  # not True, nor "3"
+            raise ValidationError(f"politeness_delay must be a number, got {politeness_delay!r}")
         if not math.isfinite(politeness_delay):
             raise ValidationError(f"politeness_delay must be finite, got {politeness_delay}")
         if politeness_delay < 0:
             raise ValidationError("politeness_delay must be >= 0")
-        if date_range is not None and date_range[0] > date_range[1]:
-            raise ValidationError("date_range start must not exceed its end")
+        if date_range is not None:
+            if type(date_range) is not tuple or [type(day) for day in date_range] != [date, date]:  # not datetimes
+                raise ValidationError(f"date_range must be a pair of dates, got {date_range!r}")
+            if date_range[0] > date_range[1]:
+                raise ValidationError("date_range start must not exceed its end")
+        if fixture_dir is not None and not isinstance(fixture_dir, (str, os.PathLike)):
+            raise ValidationError(f"fixture_dir must be a path, got {fixture_dir!r}")
         return tuple.__new__(cls, (query, vertical, pages, date_range, politeness_delay, fixture_dir))
 
 

@@ -38,28 +38,25 @@ Kernel = tuple[tuple[float, ...], ...]
 _ROW_SUM_TOL = 1e-9
 
 
-def validate_kernel(kernel: Kernel) -> None:
-    if len(kernel) != N_STATES or any(len(row) != N_STATES for row in kernel):
-        raise ValidationError(f"kernel must be {N_STATES}x{N_STATES}")
-    for i, row in enumerate(kernel):
-        if not all(map(math.isfinite, row)):
-            raise ValidationError(f"kernel row {i} has a non-finite entry")
-        if any(p < 0.0 for p in row):
-            raise ValidationError(f"kernel row {i} has a negative entry")
-        if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError(f"kernel row {i} sums to {sum(row)}, not 1")
-
-
 class SynthParams(
     Checked, namedtuple("SynthParams", "days pages per_page replacement_rate transition_kernel seed topic vertical start")
 ):
-    """Shape and dynamics of one generated collection."""
+    """Shape and dynamics of one generated collection; the kernel is kept as float tuples."""
 
     __slots__ = ()
 
     def __new__(cls, days: int, pages: int = PAGES_MAX, per_page: int = 10, replacement_rate: float = 0.0,
                 transition_kernel: Kernel | None = None, seed: int = 0, topic: str = "synthetic",
                 vertical: Vertical = Vertical.GENERAL, start: date = date(2024, 1, 1)):
+        for name, value in (("days", days), ("pages", pages), ("per_page", per_page), ("seed", seed)):
+            if type(value) is not int:  # not 2.5, 2.0 nor True
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if type(replacement_rate) not in (int, float):  # not True, nor "0.1"
+            raise ValidationError(f"replacement_rate must be a number, got {replacement_rate!r}")
+        if not isinstance(topic, str) or not isinstance(vertical, Vertical):
+            raise ValidationError(f"topic must be a string and vertical a Vertical, got {topic!r} and {vertical!r}")
+        if type(start) is not date:  # not a datetime
+            raise ValidationError(f"start must be a date, got {start!r}")
         if days < 1:
             raise ValidationError(f"days must be >= 1, got {days}")
         if (date.max - start).days < days - 1:
@@ -71,7 +68,22 @@ class SynthParams(
         if not 0.0 <= replacement_rate <= 1.0:
             raise ValidationError(f"replacement_rate must be in [0,1], got {replacement_rate}")
         if transition_kernel is not None:
-            validate_kernel(transition_kernel)
+            try:  # every entry exactly an int or a float: not True, "0.5" nor None
+                rows = [list(row) for row in transition_kernel]
+                if bad := [p for row in rows for p in row if type(p) not in (int, float)]:
+                    raise ValidationError(f"kernel is not a matrix of numbers: {bad[0]!r} is not a number")
+                transition_kernel = tuple(tuple(map(float, row)) for row in rows)
+            except (TypeError, OverflowError) as e:  # OverflowError: an int past the floats
+                raise ValidationError(f"kernel is not a matrix of numbers: {e}") from None
+            if len(transition_kernel) != N_STATES or any(len(row) != N_STATES for row in transition_kernel):
+                raise ValidationError(f"kernel must be {N_STATES}x{N_STATES}")
+            for i, row in enumerate(transition_kernel):
+                if not all(map(math.isfinite, row)):
+                    raise ValidationError(f"kernel row {i} has a non-finite entry")
+                if any(p < 0.0 for p in row):
+                    raise ValidationError(f"kernel row {i} has a negative entry")
+                if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
+                    raise ValidationError(f"kernel row {i} sums to {sum(row)}, not 1")
         fields = days, pages, per_page, replacement_rate, transition_kernel, seed, topic, vertical, start
         return tuple.__new__(cls, fields)
 

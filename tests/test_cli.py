@@ -76,7 +76,7 @@ def harvey_store(tmp_path, serp_root):
     return root
 
 
-# every error class, its exit code and its tag, subclasses included
+# every error class, its exit code and its tag
 EXIT_CODES = [
     (errors.UriParseError("x"), 6, "uri-parse"),
     (errors.SerpParseError("m"), 6, "serp-parse"),
@@ -86,8 +86,6 @@ EXIT_CODES = [
     (errors.StoreMissingError("m"), 3, "store-missing"),
     (errors.StoreMismatchError("m"), 2, "store-mismatch"),
     (errors.InsufficientDataError("m"), 4, "insufficient-data"),
-    (errors.UndefinedRateError("m"), 4, "insufficient-data"),
-    (errors.UnderdeterminedFitError("m"), 4, "insufficient-data"),
     (errors.ValidationError("m"), 2, "validation"),
     (errors.SerpChurnError("m"), 1, "internal"),
 ]
@@ -209,6 +207,7 @@ class TestExitCodes:
             classes.add(todo[-1])
             todo.extend(todo.pop().__subclasses__())
         assert {type(error) for error, _, _ in EXIT_CODES} == classes
+        assert [c for c in classes if not {"exit_code", "tag"} <= vars(c).keys()] == []  # none inherits them
 
     def test_bad_report_combo_is_2(self, capsys, synth_store):
         code, _, err = run(
@@ -711,6 +710,17 @@ def _identity(one, zero) -> str:
     ],
 )
 def test_bad_kernel_file_is_a_validation_error(capsys, tmp_path, content):
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--days", "2", "--kernel", str(kernel), "--store", "-")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("content", ["null", "[]", "{}", '""', "0", "false"])
+def test_an_empty_kernel_file_is_a_validation_error(capsys, tmp_path, content):
+    # a null kernel file is a bad kernel, not the absence of one
     kernel = tmp_path / "kernel.json"
     kernel.write_text(content, encoding="utf-8")
     code, out, err = run(capsys, "synth", "--days", "2", "--kernel", str(kernel), "--store", "-")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from serpchurn.cli import _interval_days
-from serpchurn.errors import InsufficientDataError, UndefinedRateError, ValidationError
+from serpchurn.errors import InsufficientDataError, ValidationError
 from serpchurn.metrics import (
     RateKind,
     TransitionEstimate,
@@ -105,9 +105,9 @@ class TestPairwiseRates:
         assert new_story_rate({"a"}, {"b", "c"}) == 1
 
     def test_empty_denominators(self):
-        with pytest.raises(UndefinedRateError):
+        with pytest.raises(InsufficientDataError, match="^replacement rate needs a non-empty earlier set$"):
             replacement_rate(set(), {"a"})
-        with pytest.raises(UndefinedRateError):
+        with pytest.raises(InsufficientDataError, match="^new story rate needs a non-empty later set$"):
             new_story_rate({"a"}, set())
 
     def test_overlap_and_recall(self):
@@ -116,9 +116,9 @@ class TestPairwiseRates:
         assert overlap(a, b) == Fraction(2, 3)
         assert recall(a, b) == Fraction(2, 3)
         assert recall(b, a) == Fraction(2, 4)
-        with pytest.raises(UndefinedRateError):
+        with pytest.raises(InsufficientDataError, match="^overlap needs two non-empty sets$"):
             overlap(set(), {"a"})
-        with pytest.raises(UndefinedRateError):
+        with pytest.raises(InsufficientDataError, match="^recall needs a non-empty reference set$"):
             recall(set(), {"a"})
 
     @given(

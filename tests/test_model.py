@@ -23,7 +23,7 @@ from serpchurn.model import (
 from serpchurn.serp_io import FetchPlan
 from serpchurn.synth import SynthParams
 
-from builders import from_observations
+from builders import IDENTITY_KERNEL, from_observations
 
 
 def _result(uri, page, rank, canonical=None):
@@ -104,6 +104,73 @@ _WRONG = {
     "model-text-flag": (
         lambda: RefindabilityModel(0.1, 0.2, 1.0, 0.1, degenerate="no", clamped=None),
         "degenerate and clamped must be bools, got 'no' and None",
+    ),
+}
+
+
+def _kernel_with(entry):
+    """The identity kernel with row 0's 1.0 spelled as ``entry``."""
+    return [[entry, *IDENTITY_KERNEL[0][1:]], *IDENTITY_KERNEL[1:]]
+
+
+# the same for the records built from user input, which ValidationError refuses
+_WRONG_INPUT = {
+    "plan-query-none": (
+        lambda: FetchPlan(None),
+        "query must be a string and vertical a Vertical, got None and <Vertical.GENERAL: 'general'>",
+    ),
+    "plan-vertical-text": (
+        lambda: FetchPlan("q", vertical="news"), "query must be a string and vertical a Vertical, got 'q' and 'news'"
+    ),
+    "plan-pages-float": (lambda: FetchPlan("q", pages=2.0), "pages must be an int, got 2.0"),
+    "plan-pages-bool": (lambda: FetchPlan("q", pages=True), "pages must be an int, got True"),
+    "plan-delay-text": (lambda: FetchPlan("q", politeness_delay="3"), "politeness_delay must be a number, got '3'"),
+    "plan-date-range-text": (
+        lambda: FetchPlan("q", date_range=("2017-09-01", "2017-09-30")),
+        "date_range must be a pair of dates, got ('2017-09-01', '2017-09-30')",
+    ),
+    "plan-date-range-datetime": (
+        lambda: FetchPlan("q", date_range=(_DAY, _NOON)),
+        f"date_range must be a pair of dates, got ({_DAY!r}, {_NOON!r})",
+    ),
+    "plan-fixture-dir": (lambda: FetchPlan("q", fixture_dir=5), "fixture_dir must be a path, got 5"),
+    "synth-days-float": (lambda: SynthParams(days=2.5), "days must be an int, got 2.5"),
+    "synth-days-bool": (lambda: SynthParams(days=True), "days must be an int, got True"),
+    "synth-per-page-float": (lambda: SynthParams(days=2, per_page=2.0), "per_page must be an int, got 2.0"),
+    "synth-rate-text": (
+        lambda: SynthParams(days=2, replacement_rate="0.1"), "replacement_rate must be a number, got '0.1'"
+    ),
+    "synth-start-datetime": (
+        lambda: SynthParams(days=2, start=datetime(2024, 1, 1)),
+        "start must be a date, got datetime.datetime(2024, 1, 1, 0, 0)",
+    ),
+    "synth-topic-none": (
+        lambda: SynthParams(days=2, topic=None),
+        "topic must be a string and vertical a Vertical, got None and <Vertical.GENERAL: 'general'>",
+    ),
+    "synth-vertical-text": (
+        lambda: SynthParams(days=2, vertical="news"),
+        "topic must be a string and vertical a Vertical, got 'synthetic' and 'news'",
+    ),
+    "synth-kernel-bool": (
+        lambda: SynthParams(days=2, transition_kernel=_kernel_with(True)),
+        "kernel is not a matrix of numbers: True is not a number",
+    ),
+    "synth-kernel-text": (
+        lambda: SynthParams(days=2, transition_kernel=_kernel_with("0.5")),
+        "kernel is not a matrix of numbers: '0.5' is not a number",
+    ),
+    "synth-kernel-null": (
+        lambda: SynthParams(days=2, transition_kernel=_kernel_with(None)),
+        "kernel is not a matrix of numbers: None is not a number",
+    ),
+    "synth-kernel-int-past-float": (
+        lambda: SynthParams(days=2, transition_kernel=_kernel_with(10**400)),
+        "kernel is not a matrix of numbers: int too large to convert to float",
+    ),
+    "synth-kernel-number": (
+        lambda: SynthParams(days=2, transition_kernel=5),
+        "kernel is not a matrix of numbers: 'int' object is not iterable",
     ),
 }
 
@@ -207,6 +274,11 @@ class TestValidation:
     @pytest.mark.parametrize("make, message", _WRONG.values(), ids=_WRONG)
     def test_a_field_of_the_wrong_type_or_not_finite_is_refused(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("make, message", _WRONG_INPUT.values(), ids=_WRONG_INPUT)
+    def test_an_input_field_of_the_wrong_type_is_a_validation_error(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
 
     def test_vertical_wire_names(self):

@@ -24,7 +24,6 @@ from serpchurn.synth import (
     _kernel_move,
     generate,
     iter_snapshots,
-    validate_kernel,
 )
 
 from builders import IDENTITY_KERNEL
@@ -121,18 +120,26 @@ def test_kernel_reentry_from_state_zero():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValidationError):
-        validate_kernel(((1.0,),))
+    with pytest.raises(ValidationError, match="^kernel must be 6x6$"):
+        SynthParams(days=1, transition_kernel=((1.0,),))
     bad_sum = tuple(
         tuple(0.5 if i == j else 0.0 for j in range(6)) for i in range(6)
     )
-    with pytest.raises(ValidationError):
-        validate_kernel(bad_sum)
+    with pytest.raises(ValidationError, match="^kernel row 0 sums to 0.5, not 1$"):
+        SynthParams(days=1, transition_kernel=bad_sum)
     negative = list(list(r) for r in IDENTITY_KERNEL)
     negative[0][0] = -1.0
     negative[0][1] = 2.0
-    with pytest.raises(ValidationError):
-        validate_kernel(tuple(tuple(r) for r in negative))
+    with pytest.raises(ValidationError, match="^kernel row 0 has a negative entry$"):
+        SynthParams(days=1, transition_kernel=tuple(tuple(r) for r in negative))
+
+
+def test_a_kernel_of_lists_and_ints_is_kept_as_float_tuples():
+    as_lists = [[int(p) for p in row] for row in IDENTITY_KERNEL]
+    p = SynthParams(days=2, transition_kernel=as_lists)
+    assert p.transition_kernel == IDENTITY_KERNEL
+    assert {type(x) for row in p.transition_kernel for x in row} == {float}
+    assert hash(p) == hash(SynthParams(days=2, transition_kernel=IDENTITY_KERNEL))
 
 
 def test_params_validation():

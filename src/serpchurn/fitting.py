@@ -65,28 +65,28 @@ class RefindabilityModel(Checked, namedtuple("RefindabilityModel", "a b c sse de
 
 
 def _decay(c: float, ks: Sequence[float]) -> list[float]:
-    return [math.exp(-c * k) for k in ks]
+    neg_c = -c  # -c * k is (-c) * k
+    return [math.exp(neg_c * k) for k in ks]
 
 
 def _sse(a: float, b: float, es: Sequence[float], ps: Sequence[float]) -> float:
     """Sum of squared residuals of a + b*e against ps, summed directly."""
-    resid = [p - (a + b * e) for e, p in zip(es, ps)]
-    return math.fsum(map(mul, resid, resid))
+    return math.fsum([(r := p - (a + b * e)) * r for e, p in zip(es, ps)])
 
 
 def _solve_ab(
-    c: float, ks: Sequence[float], ps: Sequence[float]
+    c: float, ks: Sequence[float], ps: Sequence[float], p_bar: float
 ) -> tuple[float, float, float]:
     """Best (a, b) for a fixed decay constant, plus the resulting SSE.
 
     Solves the normal equations of the design [1, e^(-c*k)], centred so
     that b is one ratio of ``math.fsum`` sums. When the decay column has
     no spread, every e^(-c*k) having underflowed to zero say, b is
-    unidentifiable and the best fit is the mean with b = 0.
+    unidentifiable and the best fit is the mean with b = 0. ``p_bar`` is
+    the mean of ``ps``, ``math.fsum(ps) / len(ps)``, the same at every c.
     """
-    n = len(ps)
     es = _decay(c, ks)
-    e_bar, p_bar = math.fsum(es) / n, math.fsum(ps) / n
+    e_bar = math.fsum(es) / len(es)
     de = [e - e_bar for e in es]
     sxx = math.fsum(map(mul, de, de))  # the normal matrix's determinant over n
     if sxx <= 0.0:
@@ -97,7 +97,7 @@ def _solve_ab(
     return a, b, _sse(a, b, es, ps)
 
 
-def _golden_refine(ks, ps, lo: float, hi: float) -> float:
+def _golden_refine(ks, ps, p_bar: float, lo: float, hi: float) -> float:
     """Shrink [lo, hi] around the SSE minimum in c and return the best c.
 
     Stops once an iteration improves SSE by less than a 1e-12 relative
@@ -107,18 +107,18 @@ def _golden_refine(ks, ps, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c1 = hi - invphi * (hi - lo)
     c2 = lo + invphi * (hi - lo)
-    f1 = _solve_ab(c1, ks, ps)[2]
-    f2 = _solve_ab(c2, ks, ps)[2]
+    f1 = _solve_ab(c1, ks, ps, p_bar)[2]
+    f2 = _solve_ab(c2, ks, ps, p_bar)[2]
     best_c, best_f = (c1, f1) if f1 <= f2 else (c2, f2)
     for _ in range(_MAX_REFINE):
         if f1 <= f2:
             hi, c2, f2 = c2, c1, f1
             c1 = hi - invphi * (hi - lo)
-            f1 = _solve_ab(c1, ks, ps)[2]
+            f1 = _solve_ab(c1, ks, ps, p_bar)[2]
         else:
             lo, c1, f1 = c1, c2, f2
             c2 = lo + invphi * (hi - lo)
-            f2 = _solve_ab(c2, ks, ps)[2]
+            f2 = _solve_ab(c2, ks, ps, p_bar)[2]
         cand_c, cand_f = (c1, f1) if f1 <= f2 else (c2, f2)
         if cand_f < best_f:
             gain = best_f - cand_f
@@ -151,21 +151,22 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> RefindabilityModel
     if not all(0 <= p <= 1 for p in ps):  # NaN fails both comparisons
         raise ValueError("probabilities must lie in [0, 1]")
 
+    p_bar = math.fsum(ps) / len(ps)
     step = (_GRID_HI - _GRID_LO) / (_GRID_STEPS - 1)
     grid = [_GRID_LO + i * step for i in range(_GRID_STEPS - 1)] + [_GRID_HI]
-    sses = [_solve_ab(c, ks, ps)[2] for c in grid]
+    sses = [_solve_ab(c, ks, ps, p_bar)[2] for c in grid]
     i = sses.index(min(sses))  # ties resolve to the smallest c
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    c = _golden_refine(ks, ps, lo, hi)
-    a, b, _ = _solve_ab(c, ks, ps)
+    c = _golden_refine(ks, ps, p_bar, lo, hi)
+    a, b, _ = _solve_ab(c, ks, ps, p_bar)
 
     degenerate = b < _B_FLOOR
     clamped = False
     if degenerate:
         # flat or rising data: the decay term carries no signal
         clamped = b < -_B_FLOOR
-        a, b, c = math.fsum(ps) / len(ps), 0.0, 0.0
+        a, b, c = p_bar, 0.0, 0.0
     # a <= mean(ps) <= 1: the mean itself, or less since b > 0 and every e >= 0
     if a < 0.0:
         a, clamped = 0.0, True

@@ -86,19 +86,22 @@ def _interval_means(
         if lag < 1:
             raise ValidationError(f"interval must be >= 1 day, got {_lag_text(lag)}")
     calendar = store.manifest.calendar
-    # at lag 0, the stories listed each day; a lag as long as the calendar has no anchor pair
-    lags = (0, *(lag for lag in lags if lag < len(calendar)))
-    kept = {lag: [[0] * (len(calendar) - lag) for _ in range(N_STATES)] for lag in lags}  # by anchor d
+    listed = [[0] * len(calendar) for _ in range(N_STATES)]  # the stories listed each day
+    # a lag as long as the calendar has no anchor pair
+    kept = {lag: [[0] * (len(calendar) - lag) for _ in range(N_STATES)] for lag in lags if lag < len(calendar)}
     for t in timelines:
         at, pages = (t.first_seen - calendar[0]).days, t.pages
         for k, page in pages.items():
+            d = at + k
+            listed[0][d] += 1
+            listed[page][d] += 1
             for lag, rows in kept.items():
                 again = pages.get(k + lag)
                 if again is not None:
-                    rows[0][at + k] += 1
+                    rows[0][d] += 1
                     if again == page:
-                        rows[page][at + k] += 1
-    listed, scraped = kept.pop(0), [day in store.snapshots for day in calendar]
+                        rows[page][d] += 1
+    scraped = [day in store.snapshots for day in calendar]
     means: dict[RateKind, dict] = {kind: {} for kind in RateKind}
     for (lag, rows), page in product(kept.items(), range(N_STATES)):
         by_size: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
@@ -139,8 +142,15 @@ def avg_interval_rate(
 # -- refind probabilities ----------------------------------------------
 
 
+_last_tally: tuple = (None, None)  # the last tuple counted, held so no other object takes its id, and its counts
+
+
 def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[list[int]]]:
     """Refind rows and transition counts: the one counter behind both.
+
+    The last tuple counted is counted once, so refind_cells, prob_seen and
+    transition_matrix over one walk share its counts; a list or any other
+    iterable is counted afresh on every call, since it can change between calls.
 
     Row k of the refind rows counts the stories in each state 0-5 exactly
     k days after first seen; unscraped days count nowhere, so a row's sum
@@ -153,6 +163,10 @@ def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[li
     unscraped offsets alone is counted once for each group of stories
     sharing them.
     """
+    global _last_tally
+    last = _last_tally
+    if last[0] is timelines:
+        return last[1]
     rows: list[list[int]] = []
     pairs = [[0] * N_STATES for _ in range(N_STATES)]
     groups: dict[tuple[int, frozenset[int]], int] = {}  # stories by (length, unscraped offsets)
@@ -180,7 +194,10 @@ def _tally(timelines: Iterable[StoryTimeline]) -> tuple[list[list[int]], list[li
     for k in reversed(range(len(rows))):
         alive += ends[k + 1]
         rows[k][0] += alive - sum(rows[k][1:])
-    return rows, pairs
+    counts = rows, pairs
+    if type(timelines) is tuple:
+        _last_tally = timelines, counts
+    return counts
 
 
 def _row_at(timelines: Sequence[StoryTimeline], k: int) -> list[int]:
@@ -196,8 +213,8 @@ def prob_seen(timelines: Sequence[StoryTimeline], k: int) -> Fraction:
     """P(a story is back in pages 1-5 exactly k days after first seen).
 
     A story counts toward the denominator only if its timeline reaches
-    day k and day k was actually scraped. Each call counts every offset;
-    refind_cells reads them all from one count.
+    day k and day k was actually scraped. Each call on a list counts every
+    offset; refind_cells reads them all from one count.
     """
     row = _row_at(timelines, k)
     n = sum(row)

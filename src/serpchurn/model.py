@@ -102,9 +102,10 @@ class SerpResult(Checked, namedtuple("SerpResult", "uri canonical_uri title page
 
     def __new__(cls, uri: str, canonical_uri: str, title: str, page: int, rank: int):
         """``page`` is 1-5; ``rank`` is the 1-based position across all pages of the snapshot."""
-        for name, value in (("uri", uri), ("canonical_uri", canonical_uri), ("title", title)):
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not (isinstance(uri, str) and isinstance(canonical_uri, str) and isinstance(title, str)):
+            for name, value in (("uri", uri), ("canonical_uri", canonical_uri), ("title", title)):
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string, got {value!r}")
         if type(page) is not int or type(rank) is not int:  # not 2.0, nor True
             raise ValueError(f"page and rank must be ints, got {page!r} and {rank!r}")
         if not 1 <= page <= PAGES_MAX:
@@ -242,8 +243,12 @@ class CollectionManifest(Checked, namedtuple("CollectionManifest", "topic vertic
 
     @property
     def gaps(self) -> frozenset[date]:
-        """The calendar days with no snapshot."""
-        return frozenset(self.calendar).difference(self.dates)
+        """The calendar days with no snapshot: those strictly between two consecutive dates."""
+        return frozenset(
+            before + timedelta(days=i)
+            for before, after in zip(self.dates, self.dates[1:])
+            for i in range(1, (after - before).days)
+        )
 
 
 # --- snapshot interchange format ------------------------------------------

@@ -106,6 +106,7 @@ class CollectionStore:
         self.vertical = vertical
         self.snapshots: dict[date, SerpSnapshot] = {}
         self.root = Path(root) if root is not None else None
+        self._walked: tuple = ((), ())  # the (date, snapshot) items last walked, and their timelines
 
     @property
     def manifest(self) -> CollectionManifest:
@@ -193,9 +194,17 @@ class CollectionStore:
         story's first day to the store's last, and days without a snapshot
         are unscraped. A URI listed twice in one snapshot counts at its
         first placement. Refuses an empty store.
+
+        While ``snapshots`` holds the same (date, snapshot) items, each call
+        returns the same tuple, walked once; a timeline is immutable, so its
+        ``pages`` must not be mutated.
         """
         if not self.snapshots:
             raise InsufficientDataError("store holds no snapshots")
+        held = tuple(self.snapshots.items())  # not a count or the dates: callers write snapshots directly
+        walked = self._walked  # one read, so the key and the timelines are of one walk
+        if walked[0] == held:
+            return walked[1]
         days = self.manifest.calendar
         stories: dict[str, tuple[int, dict[int, int]]] = {}  # uri: (first index, pages)
         gaps: list[int] = []
@@ -214,10 +223,12 @@ class CollectionStore:
             stories.update(sorted(new.items()))
         after = {i: frozenset(g - i for g in gaps if g > i) for i in {i for i, _ in stories.values()}}
         # the walk reads only checked snapshots, so it builds each timeline without StoryTimeline's checks
-        return tuple(
+        timelines = tuple(
             tuple.__new__(StoryTimeline, (uri, days[i], len(days) - i, pages, after[i]))
             for uri, (i, pages) in stories.items()
         )
+        self._walked = held, timelines
+        return timelines
 
 
 def open_store(root: Path) -> CollectionStore:

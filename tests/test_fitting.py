@@ -1,10 +1,13 @@
 import json
 import math
 from datetime import date
+from operator import mul
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from serpchurn import fitting
 from serpchurn.errors import InsufficientDataError
 from serpchurn.fitting import (
     algebraic_form,
@@ -111,6 +114,56 @@ def test_a_tie_across_the_grid_goes_to_the_smallest_c():
     assert [m.a, m.b] == pytest.approx([0.2, 0.8], rel=0, abs=1e-12)
     assert 0.01 <= m.c <= 0.02
     assert not m.clamped and not m.degenerate
+
+
+# The fit's kernel as it stood before its loop invariants were hoisted
+# out of the scan, kept verbatim: the new one must give the same bits.
+def _decay(c: float, ks: Sequence[float]) -> list[float]:
+    return [math.exp(-c * k) for k in ks]
+
+
+def _sse(a: float, b: float, es: Sequence[float], ps: Sequence[float]) -> float:
+    """Sum of squared residuals of a + b*e against ps, summed directly."""
+    resid = [p - (a + b * e) for e, p in zip(es, ps)]
+    return math.fsum(map(mul, resid, resid))
+
+
+def _solve_ab(
+    c: float, ks: Sequence[float], ps: Sequence[float]
+) -> tuple[float, float, float]:
+    n = len(ps)
+    es = _decay(c, ks)
+    e_bar, p_bar = math.fsum(es) / n, math.fsum(ps) / n
+    de = [e - e_bar for e in es]
+    sxx = math.fsum(map(mul, de, de))  # the normal matrix's determinant over n
+    if sxx <= 0.0:
+        a, b = p_bar, 0.0
+    else:
+        b = (math.fsum(map(mul, de, ps)) - p_bar * math.fsum(de)) / sxx
+        a = p_bar - b * e_bar
+    return a, b, _sse(a, b, es, ps)
+
+
+_STEP = (fitting._GRID_HI - fitting._GRID_LO) / (fitting._GRID_STEPS - 1)
+_GRID = [fitting._GRID_LO + i * _STEP for i in range(fitting._GRID_STEPS - 1)] + [fitting._GRID_HI]
+
+
+_OFFSET = st.one_of(st.integers(0, 1500).map(float), st.floats(0, 1500))
+_PROB = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(_OFFSET, _PROB), min_size=4, max_size=400, unique_by=lambda p: p[0]),
+    c=st.one_of(st.sampled_from(_GRID), st.floats(0, 10)),
+)
+@example(points=[(3.0 * k + k % 2 / 3, (0.0, 1.0, 5e-324, 0.25 + k / 800)[k % 4]) for k in range(400)], c=_GRID[91])
+def test_the_scan_kernel_gives_its_references_bits(points, c):
+    """float.hex tells -0.0 from 0.0, and a NaN has one hex: equal hex is equal bits."""
+    ks, ps = [k for k, _ in points], [p for _, p in points]
+    got = fitting._solve_ab(c, ks, ps, math.fsum(ps) / len(ps))
+    assert list(map(float.hex, got)) == list(map(float.hex, _solve_ab(c, ks, ps)))
+    assert fitting._sse(*got[:2], fitting._decay(c, ks), ps).hex() == _sse(*got[:2], _decay(c, ks), ps).hex()
 
 
 def test_too_few_points():

@@ -793,3 +793,74 @@ class TestRelations:
         assert moved_prob_page == {(k, swap(m)): cell for (k, m), cell in prob_page.items()}
         counts, moved_counts = (_tally(s.build_timelines())[1] for s in stores)
         assert moved_counts == [[counts[swap(i)][swap(j)] for j in range(6)] for i in range(6)]
+
+
+def _replace_a_snapshot(store, spare):
+    """Every date kept: the day's first link is dropped."""
+    day = D(8)
+    store.snapshots[day] = store.snapshots[day]._replace(results=store.snapshots[day].results[1:])
+
+
+def _delete_a_snapshot(store, spare):
+    del store.snapshots[D(8)]
+
+
+def _ingest_a_new_day(store, spare):
+    store.ingest(spare)
+
+
+def _delete_one_and_ingest_another(store, spare):
+    """As many dates as before, and the same first and last."""
+    del store.snapshots[D(8)]
+    store.ingest(spare)
+
+
+class TestOneWalkOneTally:
+    """An unchanged store is walked once and its walk tallied once; after any
+    change to its snapshots it reads as a store built fresh from them."""
+
+    @staticmethod
+    def _store():
+        """A 12-day store less its day 6, and the snapshot of day 6."""
+        store = generate(SynthParams(days=12, pages=3, per_page=3, replacement_rate=0.4, seed=5))
+        return store, store.snapshots.pop(D(6))
+
+    def test_an_unchanged_store_is_walked_once(self):
+        store, _ = self._store()
+        walked = store.build_timelines()
+        store.snapshots[D(8)] = store.snapshots[D(8)]  # the same item
+        assert store.build_timelines() is walked
+        assert _tally(walked) is _tally(store.build_timelines())
+
+    @pytest.mark.parametrize(
+        "change", [_replace_a_snapshot, _delete_a_snapshot, _ingest_a_new_day, _delete_one_and_ingest_another]
+    )
+    def test_a_changed_store_reads_as_a_fresh_one(self, change):
+        store, spare = self._store()
+        before = store.build_timelines()
+        compute_report(store)
+        transition_matrix(store.build_timelines())
+        change(store, spare)
+        fresh = CollectionStore.from_snapshots(store.topic, store.vertical, store.snapshots.values())
+        assert fresh.build_timelines() != before  # the change moves the walk
+        assert store.build_timelines() == fresh.build_timelines()
+        assert compute_report(store) == compute_report(fresh)
+        assert transition_matrix(store.build_timelines()) == transition_matrix(fresh.build_timelines())
+
+    def test_a_list_is_counted_afresh(self):
+        store, _ = self._store()
+        timelines = list(store.build_timelines())
+        first = refind_cells(timelines)
+        timelines.append(tl(2, 0, 1, uri="late.example/s"))
+        assert refind_cells(timelines) == refind_cells(tuple(timelines)) != first
+        assert _tally(timelines) is not _tally(timelines)
+
+    def test_equal_tuples_count_alike_and_others_apart(self):
+        store, _ = self._store()
+        walked = store.build_timelines()
+        copied = tuple(list(walked))
+        assert copied is not walked
+        assert _tally(walked) == _tally(copied)
+        assert refind_cells(copied) == refind_cells(walked)
+        other = (*walked[:-1], tl(1, 1, uri="other.example/s"))  # as many timelines, one of them another
+        assert _tally(other) != _tally(walked)

@@ -2,7 +2,7 @@ import copy
 import json
 import pickle
 import re
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 
@@ -314,6 +314,21 @@ class TestManifest:
         assert (m.start_date, m.end_date) == (start and day(start), end and day(end))
         assert m.calendar == tuple(map(day, calendar))
         assert m.gaps == frozenset(map(day, gaps))
+
+    @pytest.mark.parametrize(
+        "dates",
+        [
+            (),
+            (date(2024, 2, 29),),
+            (date(2024, 1, 1), date(2024, 1, 2)),
+            (date(2023, 12, 30), date(2024, 1, 2), date(2024, 1, 3), date(2024, 3, 1)),
+            (date.max - timedelta(days=5), date.max - timedelta(days=2), date.max),
+        ],
+        ids=["empty", "single", "gapless", "gapped", "at-date-max"],
+    )
+    def test_the_gaps_are_the_calendar_days_without_a_date(self, dates):
+        m = CollectionManifest("t", Vertical.NEWS, dates)
+        assert m.gaps == frozenset(m.calendar).difference(dates)
 
     def test_manifests_with_equal_dates_are_equal(self):
         dates = (date(2024, 1, 1), date(2024, 1, 3))
